@@ -18,7 +18,7 @@ from .filters import (
     OracleBiasFilter,
 )
 from .mbs import MBS, MBSEntry
-from .pipeline import CIEngine, MechanismPipeline
+from .pipeline import MechanismPipeline
 from .reconverge import CRP, NRBQ, NRBQEntry, estimate_reconvergent_point
 from .registry import (
     PolicySpec,
@@ -40,13 +40,8 @@ from .tracking import (
     compute_ipdoms,
 )
 
-#: compatibility alias for the pre-unification name
-CIEvent = ReuseEvent
-
 __all__ = [
     "AlwaysHardFilter",
-    "CIEngine",
-    "CIEvent",
     "CRP",
     "GreedySliceSelector",
     "HardBranchFilter",

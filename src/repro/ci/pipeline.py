@@ -15,11 +15,8 @@ implements the core's typed hook surface
 (:class:`~repro.uarch.hooks.MechanismHooks`) by delegating each hook to
 whichever components the policy installed.  Policies are therefore data:
 ``repro policies`` lists them, and a new ablation is a new registry
-entry, not new engine code.
-
-``CIEngine`` remains as a compatibility alias: constructing it with no
-spec resolves the policy from ``cfg.ci_policy`` at attach time, exactly
-like the pre-refactor monolith.
+entry, not new engine code.  Constructed with no spec, a pipeline
+resolves its policy from ``cfg.ci_policy`` at attach time.
 """
 
 from __future__ import annotations
@@ -231,7 +228,3 @@ class MechanismPipeline(MechanismHooks):
     def reuse_buffer(self):
         assert self.squash_reuse is not None
         return self.squash_reuse.buffer
-
-
-#: compatibility alias for the pre-refactor monolith's name
-CIEngine = MechanismPipeline

@@ -36,10 +36,6 @@ class InterpError(RuntimeError):
     """
 
 
-#: historical name, kept as an alias for existing callers/tests
-InterpreterError = InterpError
-
-
 class StepLimitExceeded(InterpError):
     """``run`` consumed ``max_steps`` without reaching HALT.
 
@@ -61,11 +57,6 @@ class InterpResult:
     halted: bool
     regs: List[int]
     memory: Dict[int, int]
-    #: dynamic conditional-branch count and taken count (quick stats)
-    branches: int = 0
-    taken: int = 0
-    loads: int = 0
-    stores: int = 0
     #: resume cursor: the next PC to execute (the HALT's own pc when
     #: ``halted``; out of code range when execution ran off the end)
     pc: int = 0
@@ -126,16 +117,14 @@ def run(
     branch_a = image.branch_fn
 
     pc = start_pc
-    steps = branches = taken = loads = stores = 0
+    steps = 0
     mask64 = (1 << 64) - 1
     mem_get = memory.get
 
     while 0 <= pc < ncode:
         if steps >= max_steps:
             partial = InterpResult(steps=steps, halted=False, regs=regs,
-                                   memory=memory, branches=branches,
-                                   taken=taken, loads=loads, stores=stores,
-                                   pc=pc)
+                                   memory=memory, pc=pc)
             if allow_partial:
                 return partial
             raise StepLimitExceeded(
@@ -154,15 +143,11 @@ def run(
             eff_addr = (regs[rs1_a[pc]] + imm_a[pc]) & mask64
             result = mem_get(eff_addr, 0)
             regs[rd_a[pc]] = result
-            loads += 1
         elif kind == K_STORE:
             eff_addr = (regs[rs1_a[pc]] + imm_a[pc]) & mask64
             memory[eff_addr] = regs[rs2_a[pc]]
-            stores += 1
         elif kind == K_BRANCH:
-            branches += 1
             if branch_a[pc](regs[rs1_a[pc]], regs[rs2_a[pc]]):
-                taken += 1
                 next_pc = target_a[pc]
         elif kind == K_JUMP:
             next_pc = target_a[pc]
@@ -170,8 +155,7 @@ def run(
             if trace_hook is not None:
                 trace_hook(pc, code[pc], None, None)
             return InterpResult(steps=steps, halted=True, regs=regs,
-                                memory=memory, branches=branches, taken=taken,
-                                loads=loads, stores=stores, pc=pc)
+                                memory=memory, pc=pc)
         elif kind == K_NOP:
             pass
         else:  # pragma: no cover - defensive
@@ -183,5 +167,4 @@ def run(
         pc = next_pc
 
     return InterpResult(steps=steps, halted=False, regs=regs, memory=memory,
-                        branches=branches, taken=taken, loads=loads,
-                        stores=stores, pc=pc)
+                        pc=pc)

@@ -25,21 +25,25 @@ the cache for free.
 """
 
 from .cache import (
-    CACHE_SCHEMA,
     CacheEntryError,
     ResultCache,
     cache_enabled,
-    config_token,
     default_cache_dir,
+)
+from .keys import (
+    CACHE_SCHEMA,
+    cached_program,
+    config_token,
+    image_digest,
     job_key,
     program_fingerprint,
+    run_key,
+    stats_digest,
 )
-from .keys import cached_program, image_digest, run_key, stats_digest
 from .parallel import (
     TRANSIENT_PHASES,
     FailedResult,
     ParallelRunner,
-    SimJob,
     WorkerError,
     aggregate_failure_report,
     default_jobs,
@@ -60,7 +64,6 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "SPEC_FIELDS",
-    "SimJob",
     "TRANSIENT_PHASES",
     "WorkerError",
     "aggregate_failure_report",

@@ -17,8 +17,8 @@ the serve layer's coalescing index and a JSON-round-tripped
   (program, config, scale, seed) simulation;
 * :func:`run_key` — :func:`job_key` for a :class:`RunSpec`, folding in
   its fault plan when one is attached;
-* :func:`stats_digest` — the integrity checksum of a cache envelope's
-  stats payload;
+* :func:`stats_digest` — the integrity checksum of a store envelope's
+  payload (result stats, checkpoints, plans);
 * :func:`checkpoint_key` — the name of one functional checkpoint in the
   sampling subsystem's store (program fingerprint + boundary only, so
   every config/policy point of a sweep shares it).
@@ -125,7 +125,7 @@ def job_key(program: "Program", cfg: "ProcessorConfig",
 
 
 def stats_digest(stats_dict: dict) -> str:
-    """Checksum over the canonical JSON form of a stats payload."""
+    """Checksum over the canonical JSON form of an envelope payload."""
     canonical = json.dumps(stats_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -210,15 +210,15 @@ def run_key(spec: "RunSpec") -> str:
 # -- functional checkpoints ---------------------------------------------------
 
 def checkpoint_key(fingerprint: str, boundary) -> str:
-    """Content-addressed name of one functional checkpoint (or meta entry).
+    """Content-addressed name of one functional checkpoint (or plan).
 
     Keyed by the *program fingerprint* and the instruction ``boundary``
     alone — deliberately no config, policy, scale or seed beyond what
     the fingerprint already pins: architectural state at an instruction
     boundary depends only on the program, so every policy/config point
     of a sweep shares the same checkpoint.  ``boundary`` is an
-    instruction index, or the string ``"meta"`` for the per-program
-    metadata entry (total dynamic length).
+    instruction index, or the string ``"plan:<sampling spec>"`` for the
+    program's derived sampling plan.
     """
     h = hashlib.sha256()
     h.update(f"ckpt-schema={CHECKPOINT_SCHEMA}\n".encode())

@@ -42,7 +42,6 @@ import signal
 import sys
 import time
 import traceback
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -51,15 +50,6 @@ from ..uarch import ProcessorConfig, SimStats
 from .cache import ResultCache
 from .keys import cached_program, run_key
 from .spec import RunSpec
-
-#: One simulation work item IS a :class:`~repro.runtime.spec.RunSpec` —
-#: the pool executes the canonical run vocabulary directly (a frozen
-#: dataclass of plain strings/numbers/config, so it stays picklable
-#: under any start method; workers re-resolve policy and observer names
-#: against their own registries).  The alias preserves the historical
-#: name used throughout tests and call sites.
-SimJob = RunSpec
-
 
 class WorkerError(RuntimeError):
     """One or more simulations failed inside worker processes.
@@ -193,16 +183,18 @@ def default_retries() -> int:
     return 1
 
 
-def _run_job(job: SimJob) -> Tuple[Optional[dict], Optional[dict],
+def _run_job(job: RunSpec) -> Tuple[Optional[dict], Optional[dict],
                                    Optional[str]]:
     """Worker entry point: returns (stats dict, observer payload, error).
 
     Module-level so it pickles under both fork and spawn start methods;
     imports stay inside so a spawned worker re-resolves the package.
-    The spec's riders are honoured here: the observer is built from
-    ``job.observe`` and the fault plan parsed from ``job.faults`` (a
-    fault-free spec leaves ``faults=None``, preserving the
-    ``REPRO_FAULTS`` environment fallback inside ``run_program``).
+    The job is a frozen :class:`RunSpec` of plain values, so it pickles
+    too; policy and observer *names* are resolved against the worker's
+    own registries.  The spec's riders are honoured here: the observer
+    is built from ``job.observe`` and the fault plan parsed from
+    ``job.faults`` (a fault-free spec leaves ``faults=None``, preserving
+    the ``REPRO_FAULTS`` environment fallback inside ``run_program``).
     """
     try:
         if job.sampling:
@@ -241,7 +233,7 @@ def _worker_init() -> None:
             pass
 
 
-def _run_batch(batch: Sequence[SimJob]) -> List[Tuple[Optional[dict],
+def _run_batch(batch: Sequence[RunSpec]) -> List[Tuple[Optional[dict],
                                                       Optional[dict],
                                                       Optional[str]]]:
     """Worker entry point for a per-program batch of jobs.
@@ -255,7 +247,7 @@ def _run_batch(batch: Sequence[SimJob]) -> List[Tuple[Optional[dict],
     return [_run_job(job) for job in batch]
 
 
-def _batch_chunks(jobs: Sequence[SimJob],
+def _batch_chunks(jobs: Sequence[RunSpec],
                   indexes: Sequence[int], n_workers: int) -> List[List[int]]:
     """Partition job indexes into per-program submission chunks.
 
@@ -292,7 +284,7 @@ def _pool_context():
 _Slot = Union[Tuple[Optional[dict], Optional[dict]], "_Failure", None]
 
 
-def _run_serial(jobs: Sequence[SimJob], indexes: Sequence[int],
+def _run_serial(jobs: Sequence[RunSpec], indexes: Sequence[int],
                 results: List[_Slot]) -> None:
     for i in indexes:
         stats, payload, err = _run_job(jobs[i])
@@ -309,7 +301,7 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def _run_pool_pass(jobs: Sequence[SimJob], indexes: Sequence[int],
+def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                    results: List[_Slot], n_workers: int,
                    timeout: Optional[float]) -> List[int]:
     """One pool attempt over ``jobs[indexes]``; returns transient failures.
@@ -388,7 +380,7 @@ def _run_pool_pass(jobs: Sequence[SimJob], indexes: Sequence[int],
 
 
 def execute_jobs_observed(
-        jobs: Sequence[SimJob], n_workers: Optional[int] = None, *,
+        jobs: Sequence[RunSpec], n_workers: Optional[int] = None, *,
         timeout: Optional[float] = None, retries: Optional[int] = None,
         keep_going: bool = False,
 ) -> List[Tuple[Union[SimStats, FailedResult], Optional[dict]]]:
@@ -480,7 +472,7 @@ def aggregate_failure_report(failures: Sequence[FailedResult]) -> str:
     return "\n".join(lines)
 
 
-def execute_jobs(jobs: Sequence[SimJob],
+def execute_jobs(jobs: Sequence[RunSpec],
                  n_workers: Optional[int] = None) -> List[SimStats]:
     """Like :func:`execute_jobs_observed` but stats-only (raise on fail)."""
     return [st for st, _ in execute_jobs_observed(jobs, n_workers)]
@@ -550,7 +542,8 @@ class ParallelRunner:
         #: and (when derivable) the canonical cache key — so local
         #: callers and the serving layer share one attribution table.
         self.sources: Dict[object, str] = {}
-        self._memo: Dict[str, SimStats] = {}
+        #: resolved runs by canonical run key (a thin client keys by spec)
+        self._memo: Dict[object, SimStats] = {}
         self.memo_hits = 0
         self.disk_hits = 0
         self.sims_run = 0
@@ -568,23 +561,9 @@ class ParallelRunner:
         """
         return cached_program(name, self.scale, self.seed)
 
-    def _as_spec(self, point) -> RunSpec:
-        """Coerce one work item to a :class:`RunSpec`.
-
-        Accepts a spec directly, or the historical ``(kernel, cfg)``
-        tuple (deprecated — lifted to a spec at this runner's scale and
-        seed).  The runner-level ``observe`` default applies to specs
-        that do not carry their own.
-        """
-        if isinstance(point, RunSpec):
-            spec = point
-        else:
-            name, cfg = point
-            warnings.warn(
-                "passing (kernel, cfg) tuples to Runner.run_many is "
-                "deprecated; pass RunSpec instances",
-                DeprecationWarning, stacklevel=3)
-            spec = RunSpec(name, self.scale, self.seed, cfg)
+    def _with_defaults(self, spec: RunSpec) -> RunSpec:
+        """Apply the runner-level ``observe`` and ``sampling`` defaults
+        to a spec that does not carry its own."""
         if self.observe is not None and spec.observe is None:
             spec = replace(spec, observe=self.observe)
         if self.sampling is not None and spec.sampling is None \
@@ -611,8 +590,7 @@ class ParallelRunner:
         except Exception:
             return None
 
-    def _note_source(self, ident: object, point, spec: RunSpec,
-                     src: str) -> None:
+    def _note_source(self, ident: object, spec: RunSpec, src: str) -> None:
         self.sources[(spec.kernel, spec.cfg)] = src
         self.sources[spec] = src
         if isinstance(ident, str):
@@ -622,31 +600,28 @@ class ParallelRunner:
     def run(self, name: str, cfg: ProcessorConfig) -> SimStats:
         return self.run_many([RunSpec(name, self.scale, self.seed, cfg)])[0]
 
-    def run_many(self, points: Sequence) -> List[SimStats]:
+    def run_many(self, specs: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve a batch of runs, order-preserving.
 
-        Each point is a :class:`RunSpec` (or a deprecated
-        ``(kernel, cfg)`` tuple).  Resolution per run: in-process memo,
-        then disk cache, then simulation — both lookups keyed by the
-        canonical :func:`~repro.runtime.keys.run_key`, the same identity
-        the serve layer coalesces on.  Runs carrying an observer or a
+        Resolution per run: in-process memo, then disk cache, then
+        simulation — both lookups keyed by the canonical
+        :func:`~repro.runtime.keys.run_key`, the same identity the serve
+        layer coalesces on.  Runs carrying an observer or a
         fault plan skip cache *reads* (cached entries carry no events,
         and perturbed results must come from a real perturbed run);
         faulty results are additionally never written back.
         """
         order: List[object] = []
-        specs: Dict[object, Tuple[object, RunSpec]] = {}
-        for point in points:
-            spec = self._as_spec(point)
+        unique: Dict[object, RunSpec] = {}
+        for spec in map(self._with_defaults, specs):
             key = self._spec_key(spec)
             ident: object = key if key is not None else spec
             order.append(ident)
-            if ident not in specs:
-                specs[ident] = (point, spec)
+            unique.setdefault(ident, spec)
         resolved: Dict[object, SimStats] = {}
-        pending: List[Tuple[object, object, RunSpec]] = []
-        sampled_parents: List[Tuple[object, object, RunSpec]] = []
-        for ident, (point, spec) in specs.items():
+        pending: List[Tuple[object, RunSpec]] = []
+        sampled_parents: List[Tuple[object, RunSpec]] = []
+        for ident, spec in unique.items():
             key = ident if isinstance(ident, str) else None
             reads_ok = (key is not None and spec.observe is None
                         and spec.faults is None)
@@ -654,13 +629,13 @@ class ParallelRunner:
                 st = self._memo.get(key)
                 if st is not None:
                     self.memo_hits += 1
-                    self._note_source(ident, point, spec, "memo")
+                    self._note_source(ident, spec, "memo")
                     resolved[ident] = st
                     continue
                 st = self.cache.get(key)
                 if st is not None:
                     self.disk_hits += 1
-                    self._note_source(ident, point, spec, "disk")
+                    self._note_source(ident, spec, "disk")
                     self._memo[key] = resolved[ident] = st
                     continue
             if spec.sampling and not _is_interval_token(spec.sampling):
@@ -668,42 +643,41 @@ class ParallelRunner:
                 # resolve_sampled (which calls back into run_many, so
                 # the intervals get the full memo/disk/pool treatment);
                 # only the stitched estimate is recorded under this key.
-                sampled_parents.append((ident, point, spec))
+                sampled_parents.append((ident, spec))
                 continue
-            pending.append((ident, point, spec))
+            pending.append((ident, spec))
         if sampled_parents:
             from ..sampling.executor import resolve_sampled
-            for ident, point, spec, st in resolve_sampled(
+            for ident, spec, st in resolve_sampled(
                     self, sampled_parents):
                 if isinstance(st, FailedResult):
                     self.failures.append(st)
-                    self._note_source(ident, point, spec, "failed")
+                    self._note_source(ident, spec, "failed")
                     resolved[ident] = st
                     continue
                 self.sims_run += 1
                 resolved[ident] = st
-                self._note_source(ident, point, spec, "sim")
+                self._note_source(ident, spec, "sim")
                 if isinstance(ident, str):
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)
         if pending:
-            sim_jobs = [spec for _, _, spec in pending]
+            sim_jobs = [spec for _, spec in pending]
             restarts_before = pool_restart_count()
             results = execute_jobs_observed(
                 sim_jobs, self.jobs, timeout=self.timeout,
                 retries=self.retries, keep_going=self.keep_going)
             self.sims_run += len(sim_jobs)
             self.pool_restarts += pool_restart_count() - restarts_before
-            for (ident, point, spec), (st, payload) in zip(pending,
-                                                           results):
+            for (ident, spec), (st, payload) in zip(pending, results):
                 if isinstance(st, FailedResult):
                     # A hole, not a result: report it, never cache it.
                     self.failures.append(st)
-                    self._note_source(ident, point, spec, "failed")
+                    self._note_source(ident, spec, "failed")
                     resolved[ident] = st
                     continue
                 resolved[ident] = st
-                self._note_source(ident, point, spec, "sim")
+                self._note_source(ident, spec, "sim")
                 if isinstance(ident, str) and spec.faults is None:
                     self._memo[ident] = st
                     self.cache.put(ident, st, spec=spec)

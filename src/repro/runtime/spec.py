@@ -5,7 +5,7 @@ scale, seed), *how* the machine is shaped (config + optional policy
 override), and the optional perturbation/observation riders (a fault
 plan spec, an observer spec).  Every layer speaks it:
 
-* the local pool (``SimJob`` is an alias — :mod:`repro.runtime.parallel`),
+* the local pool (:mod:`repro.runtime.parallel` executes specs directly),
 * the disk cache (envelopes record ``spec.to_dict()`` for provenance),
 * the serve protocol (``JobSpec`` subclasses it, adding transport-only
   fields that never enter the cache key),

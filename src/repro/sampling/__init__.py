@@ -20,7 +20,6 @@ from .checkpoint import (
     CheckpointStore,
     ensure_checkpoints,
     feature_pass,
-    functional_length,
 )
 from .estimate import combine, delta_stats, relative_ci
 from .executor import (
@@ -54,7 +53,6 @@ __all__ = [
     "delta_stats",
     "ensure_checkpoints",
     "feature_pass",
-    "functional_length",
     "interval_specs",
     "is_interval_token",
     "parse_interval",

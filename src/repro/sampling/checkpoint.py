@@ -17,40 +17,34 @@ exactly one fast-forward per boundary.  The store lives on disk under
 ``<cache root>/checkpoints/`` and is shared across pool workers,
 concurrent sessions and ``repro serve``.
 
-Storage discipline mirrors :mod:`repro.runtime.cache` exactly: two-level
-sharding, write-to-temp + atomic rename, a checksummed envelope
-``{"schema": N, "sha256": <digest>, "payload": {...}}``, and corrupt
-entries quarantined under ``<root>/quarantine/`` so a torn write can
-never boot a core from garbage state.
+:class:`CheckpointStore` is an :class:`~repro.runtime.cache.EnvelopeStore`
+(sharding, atomic writes, checksummed envelopes, corrupt-entry handling
+and the ``repro cache`` audit all live there) holding two entry kinds:
+checkpoints and derived sampling plans.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.instructions import K_BRANCH, K_LOAD, K_STORE, NUM_LOGICAL_REGS
-from ..runtime.cache import (
-    CHECKPOINT_SUBDIR,
-    QUARANTINE_DIR,
-    cache_enabled,
-    default_cache_dir,
-)
+from ..runtime.cache import EnvelopeStore, default_cache_dir
 from ..runtime.keys import (
     CHECKPOINT_SCHEMA,
     checkpoint_key,
     program_fingerprint,
-    stats_digest as _payload_digest,
 )
 
-from .plan import SamplingError, SamplingPlan
+from .plan import SamplingPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa import Program
+
+#: subdirectory of the cache root holding the checkpoint store
+CHECKPOINT_SUBDIR = "checkpoints"
 
 #: functional-warming tails (SMARTS-style): the fast-forward records the
 #: most recent memory accesses and conditional-branch outcomes before
@@ -130,290 +124,83 @@ class Checkpoint:
                 f"checkpoint payload does not deserialise: {exc}") from None
 
 
-def _decode_envelope(text: str) -> Optional[dict]:
-    """Parse + verify one envelope; payload dict, None on schema skew."""
-    try:
-        envelope = json.loads(text)
-    except ValueError as exc:
-        raise CheckpointError(f"unparsable JSON: {exc}") from None
-    if not isinstance(envelope, dict) or "payload" not in envelope \
-            or "sha256" not in envelope or "schema" not in envelope:
-        raise CheckpointError("not a checkpoint envelope")
-    if envelope["schema"] != CHECKPOINT_SCHEMA:
-        return None  # another version's valid data: a miss
-    payload = envelope["payload"]
-    if _payload_digest(payload) != envelope["sha256"]:
-        raise CheckpointError("checksum mismatch")
-    return payload
+class CheckpointStore(EnvelopeStore):
+    """On-disk store of functional checkpoints and sampling plans.
 
-
-class CheckpointStore:
-    """On-disk functional-checkpoint store (atomic, checksummed).
-
-    Cheap to construct; the root directory appears on first write.
     Shares the result cache's enable switches (``REPRO_CACHE=0`` turns
     it off, in which case every sampled run re-fast-forwards — slower,
-    never wrong).  In-memory counters track this instance's activity:
-    ``fast_forwards`` (checkpoint-producing functional passes),
-    ``lengths_measured`` (full functional passes that established a
-    program's dynamic length) and ``checkpoint_hits`` (boots served
-    from the store) — the numbers the sharing guarantees are asserted
-    on.
+    never wrong).  An in-process memo serves repeated reads of one entry
+    (many configs x one kernel in a single runner) without re-parsing.
+    Counters track this instance's activity: ``fast_forwards``
+    (checkpoint-producing functional passes) and ``checkpoint_hits``
+    (boots served from the store) — the numbers the sharing guarantees
+    are asserted on.
     """
+
+    SCHEMA = CHECKPOINT_SCHEMA
+    FIELD = "payload"
+    NAME = "checkpoint"
+
+    #: entry kind (the envelope's descriptive ``kind``) -> payload reader
+    LOADERS = {"checkpoint": Checkpoint.from_payload,
+               "plan": SamplingPlan.from_payload}
 
     def __init__(self, root: Optional[str] = None,
                  enabled: Optional[bool] = None):
-        self.root = root or os.path.join(default_cache_dir(),
-                                         CHECKPOINT_SUBDIR)
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.quarantined: List[str] = []
+        super().__init__(
+            root or os.path.join(default_cache_dir(), CHECKPOINT_SUBDIR),
+            enabled)
         self.fast_forwards = 0
-        self.lengths_measured = 0
         self.checkpoint_hits = 0
-        self.checkpoints_written = 0
-        #: in-process mirror so repeated boots of one boundary (many
-        #: configs x one kernel in a single runner) parse the entry once
-        self._memo: Dict[str, Checkpoint] = {}
-        self._meta_memo: Dict[str, dict] = {}
-        self._plan_memo: Dict[str, SamplingPlan] = {}
+        self._memo: Dict[str, Any] = {}
 
-    # -- paths / plumbing (mirrors ResultCache) --------------------------
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+    def _load(self, envelope: dict) -> Any:
+        loader = self.LOADERS.get(envelope.get("kind"))
+        return None if loader is None else loader(envelope["payload"])
 
-    def _quarantine(self, path: str) -> None:
-        qdir = os.path.join(self.root, QUARANTINE_DIR)
-        try:
-            os.makedirs(qdir, exist_ok=True)
-            os.replace(path, os.path.join(qdir, os.path.basename(path)))
-            self.quarantined.append(path)
-        except OSError:
-            pass
+    def _lookup(self, key: str) -> Any:
+        entry = self._memo.get(key)
+        if entry is None and self.enabled:
+            entry = self._read(key)
+            if entry is not None:
+                self._memo[key] = entry
+        return entry
 
-    def _read_payload(self, key: str) -> Optional[dict]:
-        path = self.path_for(key)
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError:
-            return None
-        try:
-            return _decode_envelope(text)
-        except CheckpointError:
-            self._quarantine(path)
-            return None
-
-    def _write_payload(self, key: str, payload: dict,
-                       meta: Optional[dict] = None) -> None:
-        envelope: Dict[str, object] = {
-            "schema": CHECKPOINT_SCHEMA,
-            "sha256": _payload_digest(payload),
-            "payload": payload}
-        if meta:
-            envelope.update(meta)
-        path = self.path_for(key)
-        shard = os.path.dirname(path)
-        try:
-            os.makedirs(shard, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(envelope, fh, separators=(",", ":"))
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass  # a read-only or full store never fails the run
+    def _store(self, key: str, entry: Any, **fields: object) -> None:
+        self._memo[key] = entry
+        if self.enabled:
+            self._write(key, entry.to_payload(), **fields)
 
     # -- checkpoints -----------------------------------------------------
     def get(self, fingerprint: str, boundary: int) -> Optional[Checkpoint]:
         if boundary == 0:
             return Checkpoint.initial()
-        key = checkpoint_key(fingerprint, boundary)
-        memo = self._memo.get(key)
-        if memo is not None:
+        ckpt = self._lookup(checkpoint_key(fingerprint, boundary))
+        if ckpt is not None:
             self.checkpoint_hits += 1
-            return memo
-        if not self.enabled:
-            return None
-        payload = self._read_payload(key)
-        if payload is None:
-            return None
-        try:
-            ckpt = Checkpoint.from_payload(payload)
-        except CheckpointError:
-            self._quarantine(self.path_for(key))
-            return None
-        self._memo[key] = ckpt
-        self.checkpoint_hits += 1
         return ckpt
 
     def put(self, fingerprint: str, ckpt: Checkpoint) -> None:
-        key = checkpoint_key(fingerprint, ckpt.inst_index)
-        self._memo[key] = ckpt
-        self.checkpoints_written += 1
-        if not self.enabled:
-            return
-        self._write_payload(key, ckpt.to_payload(),
-                            meta={"kind": "checkpoint",
-                                  "program": fingerprint,
-                                  "boundary": ckpt.inst_index})
-
-    # -- per-program metadata (dynamic length) ---------------------------
-    def meta_get(self, fingerprint: str) -> Optional[dict]:
-        memo = self._meta_memo.get(fingerprint)
-        if memo is not None:
-            return memo
-        if not self.enabled:
-            return None
-        payload = self._read_payload(checkpoint_key(fingerprint, "meta"))
-        if payload is None or not isinstance(payload.get("total"), int):
-            return None
-        self._meta_memo[fingerprint] = payload
-        return payload
-
-    def meta_put(self, fingerprint: str, meta: dict) -> None:
-        self._meta_memo[fingerprint] = meta
-        if not self.enabled:
-            return
-        self._write_payload(checkpoint_key(fingerprint, "meta"), meta,
-                            meta={"kind": "meta", "program": fingerprint})
+        self._store(checkpoint_key(fingerprint, ckpt.inst_index), ckpt,
+                    kind="checkpoint", program=fingerprint,
+                    boundary=ckpt.inst_index)
 
     # -- derived sampling plans (per program x spec text) ----------------
     def plan_get(self, fingerprint: str,
                  spec_text: str) -> Optional[SamplingPlan]:
-        key = checkpoint_key(fingerprint, f"plan:{spec_text}")
-        memo = self._plan_memo.get(key)
-        if memo is not None:
-            return memo
-        if not self.enabled:
-            return None
-        payload = self._read_payload(key)
-        if payload is None:
-            return None
-        try:
-            plan = SamplingPlan.from_payload(payload)
-        except SamplingError:
-            self._quarantine(self.path_for(key))
-            return None
-        self._plan_memo[key] = plan
-        return plan
+        return self._lookup(checkpoint_key(fingerprint, f"plan:{spec_text}"))
 
     def plan_put(self, fingerprint: str, spec_text: str,
                  plan: SamplingPlan) -> None:
-        key = checkpoint_key(fingerprint, f"plan:{spec_text}")
-        self._plan_memo[key] = plan
-        if not self.enabled:
-            return
-        self._write_payload(key, plan.to_payload(),
-                            meta={"kind": "plan", "program": fingerprint,
-                                  "spec": spec_text})
-
-    # -- auditing (repro cache info|verify|clear) ------------------------
-    def _entries(self):
-        for dirpath, dirnames, filenames in os.walk(self.root):
-            if os.path.basename(dirpath) == QUARANTINE_DIR:
-                dirnames[:] = []
-                continue
-            for name in sorted(filenames):
-                if name.endswith(".json"):
-                    yield os.path.join(dirpath, name)
-
-    def info(self) -> Dict[str, object]:
-        entries = size = quarantined = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            in_quarantine = os.path.basename(dirpath) == QUARANTINE_DIR
-            for name in filenames:
-                if not name.endswith(".json"):
-                    continue
-                if in_quarantine:
-                    quarantined += 1
-                    continue
-                entries += 1
-                try:
-                    size += os.path.getsize(os.path.join(dirpath, name))
-                except OSError:
-                    pass
-        return {"root": self.root, "enabled": self.enabled,
-                "entries": entries, "bytes": size,
-                "quarantined": quarantined}
-
-    def verify(self, quarantine: bool = True) -> Dict[str, object]:
-        """Audit every entry: parse, checksum, deserialise."""
-        ok = stale = 0
-        bad: List[Tuple[str, str]] = []
-        for path in self._entries():
-            try:
-                with open(path) as fh:
-                    text = fh.read()
-                payload = _decode_envelope(text)
-                if payload is None:
-                    stale += 1
-                    continue
-                if "regs" in payload:
-                    Checkpoint.from_payload(payload)
-                elif "intervals" in payload:
-                    try:
-                        SamplingPlan.from_payload(payload)
-                    except SamplingError as exc:
-                        raise CheckpointError(str(exc)) from None
-                elif not isinstance(payload.get("total"), int):
-                    raise CheckpointError("meta entry without a total")
-                ok += 1
-            except CheckpointError as exc:
-                bad.append((path, str(exc)))
-            except OSError as exc:  # pragma: no cover - racing deletion
-                bad.append((path, str(exc)))
-        if quarantine:
-            for path, _reason in bad:
-                self._quarantine(path)
-        qdir = os.path.join(self.root, QUARANTINE_DIR)
-        try:
-            parked = sum(1 for name in os.listdir(qdir)
-                         if name.endswith(".json"))
-        except OSError:
-            parked = 0
-        if not quarantine:
-            parked += len(bad)
-        return {"root": self.root, "ok": ok, "stale": stale,
-                "corrupt": len(bad), "quarantined": parked,
-                "bad": [{"path": p, "reason": r} for p, r in bad]}
+        self._store(checkpoint_key(fingerprint, f"plan:{spec_text}"), plan,
+                    kind="plan", program=fingerprint, spec=spec_text)
 
     def clear(self) -> int:
-        removed = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if name.endswith(".json") or name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(dirpath, name))
-                        removed += 1
-                    except OSError:
-                        pass
         self._memo.clear()
-        self._meta_memo.clear()
-        self._plan_memo.clear()
-        return removed
+        return super().clear()
 
 
 # -- fast-forward producers ---------------------------------------------------
-
-def functional_length(program: "Program", store: CheckpointStore) -> int:
-    """The program's total dynamic instruction count (meta-cached).
-
-    One full functional pass on a cold store; every later plan
-    derivation for the same program reads the meta entry.
-    """
-    fp = program_fingerprint(program)
-    meta = store.meta_get(fp)
-    if meta is not None:
-        return meta["total"]
-    from ..isa import interp
-    res = interp.run(program)  # raises StepLimitExceeded on runaways
-    store.lengths_measured += 1
-    store.meta_put(fp, {"total": res.steps, "halted": res.halted})
-    return res.steps
-
 
 #: feature-pass probe cache: a tiny direct-mapped tag array over the
 #: access stream (64-byte lines, 256 sets).  Its miss rate is a purely
@@ -424,8 +211,7 @@ PROBE_LINE_SHIFT = 6
 PROBE_SETS = 256
 
 
-def feature_pass(program: "Program", granularity: int,
-                 store: CheckpointStore
+def feature_pass(program: "Program", granularity: int
                  ) -> Tuple[int, List[Dict[str, int]]]:
     """Full functional pass collecting per-micro-interval features.
 
@@ -434,8 +220,7 @@ def feature_pass(program: "Program", granularity: int,
     partial), a feature vector ``{loads, stores, branches, taken, miss,
     acc, n}`` — instruction-mix counts, taken-branch count, and the
     probe cache's miss/access counts.  Raw material for
-    :meth:`SamplingPlan.phased`.  Also establishes the program's length
-    meta entry, so a later :func:`functional_length` is free.
+    :meth:`SamplingPlan.phased`.
     """
     from ..isa import interp
     from ..isa.predecode import predecode
@@ -472,9 +257,6 @@ def feature_pass(program: "Program", granularity: int,
     res = interp.run(program, trace_hook=hook)
     if cur["n"]:
         feats.append(dict(cur))
-    store.lengths_measured += 1
-    store.meta_put(program_fingerprint(program),
-                   {"total": res.steps, "halted": res.halted})
     return res.steps, feats
 
 

@@ -30,7 +30,7 @@ from ..runtime.keys import program_fingerprint
 from ..runtime.spec import RunSpec
 from ..uarch.stats import SimStats
 from .checkpoint import Checkpoint, CheckpointStore, ensure_checkpoints, \
-    feature_pass, functional_length
+    feature_pass
 from .estimate import combine, delta_stats
 from .plan import GRANULARITY, Interval, SamplingPlan, SamplingSpec, \
     is_interval_token, parse_interval
@@ -64,12 +64,11 @@ def plan_program(program: "Program", sampling: str,
     if cached is not None:
         return cached
     if sspec.phased:
-        total, feats = feature_pass(program, sspec.g or GRANULARITY,
-                                    store)
+        total, feats = feature_pass(program, sspec.g or GRANULARITY)
         plan = SamplingPlan.phased(total, feats, sspec)
     else:
-        plan = SamplingPlan.systematic(functional_length(program, store),
-                                       sspec)
+        from ..isa import interp
+        plan = SamplingPlan.systematic(interp.run(program).steps, sspec)
     store.plan_put(fp, sampling, plan)
     return plan
 
@@ -191,27 +190,26 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
                     ) -> List[Tuple]:
     """Resolve parent sampled specs through the runner's machinery.
 
-    ``items`` is ``[(ident, point, spec), ...]`` for specs whose
+    ``items`` is ``[(ident, spec), ...]`` for specs whose
     ``sampling`` is a *parent* token that missed the memo/disk caches.
     Plans are derived and checkpoints ensured here, in the parent
     process — one fast-forward per (program, boundary) no matter how
     many policies/configs are being swept — then every interval job is
     pushed through ``runner.run_many`` (pool fan-out, interval-level
     result caching, retries, keep-going).  Returns
-    ``[(ident, point, spec, stats-or-FailedResult), ...]``.
+    ``[(ident, spec, stats-or-FailedResult), ...]``.
     """
     from ..runtime.parallel import FailedResult, WorkerError, \
         aggregate_failure_report
     store = runner.checkpoint_store()
     prepared = []
     out: List[Tuple] = []
-    for ident, point, spec in items:
+    for ident, spec in items:
         try:
             _reject_riders(spec)
             plan = plan_for(spec, store)
             ensure_checkpoints(spec.program(), plan.boundaries, store)
-            prepared.append((ident, point, spec, plan,
-                             interval_specs(spec, plan)))
+            prepared.append((ident, spec, plan, interval_specs(spec, plan)))
         except Exception:
             fr = FailedResult(spec.kernel, spec.scale, spec.seed,
                               error=traceback.format_exc(),
@@ -219,13 +217,13 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             if not runner.keep_going:
                 raise WorkerError(aggregate_failure_report([fr])) \
                     from None
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
     all_children: List[RunSpec] = []
-    for _, _, _, _, children in prepared:
+    for _, _, _, children in prepared:
         all_children.extend(children)
     child_stats = runner.run_many(all_children) if all_children else []
     cursor = 0
-    for ident, point, spec, plan, children in prepared:
+    for ident, spec, plan, children in prepared:
         deltas = child_stats[cursor:cursor + len(children)]
         cursor += len(children)
         holes = [d for d in deltas if isinstance(d, FailedResult)]
@@ -233,7 +231,7 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             fr = FailedResult(spec.kernel, spec.scale, spec.seed,
                               error=holes[0].error, phase=holes[0].phase,
                               attempts=holes[0].attempts)
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
             continue
         try:
             est = combine(plan, deltas)
@@ -244,7 +242,7 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
             if not runner.keep_going:
                 raise WorkerError(aggregate_failure_report([fr])) \
                     from None
-            out.append((ident, point, spec, fr))
+            out.append((ident, spec, fr))
             continue
-        out.append((ident, point, spec, est))
+        out.append((ident, spec, est))
     return out

@@ -309,7 +309,7 @@ class SamplingPlan:
                 idx += 1
         return cls(total=total, intervals=tuple(intervals))
 
-    # -- persistence (checkpoint-store plan meta) -----------------------
+    # -- persistence (checkpoint-store plan entries) --------------------
     def to_payload(self) -> dict:
         return {"total": self.total,
                 "intervals": [[iv.boundary, iv.warmup, iv.measure,

@@ -23,7 +23,6 @@ import http.client
 import json
 import random
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.common import Runner
@@ -81,12 +80,14 @@ class ServeClient:
     ``timeout`` and a dropped connection (or a bare 5xx outside the
     JSON protocol) is retried up to ``reconnect_tries`` times with
     jittered exponential backoff — enough to ride out a daemon restart
-    mid-sweep.  Retrying a submit is safe by construction: jobs are
-    content-addressed (:func:`repro.runtime.keys.run_key`), so a
-    resubmission coalesces onto the journaled original instead of
-    duplicating the simulation.  ``on_event`` (optional) receives
-    human-readable resilience events — reconnect attempts, reattaches,
-    degraded-server notices — for a client's stderr status stream.
+    mid-sweep.  Until the daemon has answered once, a refused
+    connection means nothing is listening and fails at once.  Retrying
+    a submit is safe by construction: jobs are content-addressed
+    (:func:`repro.runtime.keys.run_key`), so a resubmission coalesces
+    onto the journaled original instead of duplicating the simulation.
+    ``on_event`` (optional) receives human-readable resilience events —
+    reconnect attempts, reattaches, degraded-server notices — for a
+    client's stderr status stream.
     """
 
     def __init__(self, addr: str, timeout: float = 30.0,
@@ -100,6 +101,9 @@ class ServeClient:
         self.backoff_cap = backoff_cap
         self.on_event = on_event
         self._rng = random.Random()
+        #: set by the first answered request: only then is a refused
+        #: connection a daemon restart worth backing off for
+        self._answered = False
         #: chaos seam: when set, called as ``f(method, path)`` after the
         #: request is sent; returning True drops the connection before
         #: the response is read (exercises the reconnect path exactly
@@ -148,9 +152,11 @@ class ServeClient:
         """One request with bounded jittered-backoff reconnect.
 
         Wire-level problems (connection refused/reset, timeouts, and
-        5xx responses that carry no protocol envelope) are retried;
-        protocol-level answers — including error envelopes — pass
-        through untouched for the endpoint methods to interpret.
+        5xx responses that carry no protocol envelope) are retried —
+        except a refused connection before the daemon ever answered,
+        which fails on the first try; protocol-level answers — including
+        error envelopes — pass through untouched for the endpoint
+        methods to interpret.
         """
         last: object = None
         for attempt in range(self.reconnect_tries + 1):
@@ -158,7 +164,11 @@ class ServeClient:
                 status, parsed = self._request_once(method, path, body)
             except (OSError, http.client.HTTPException) as exc:
                 last = exc
+                if isinstance(exc, ConnectionRefusedError) \
+                        and not self._answered:
+                    break
             else:
+                self._answered = True
                 enveloped = isinstance(parsed, dict) and "ok" in parsed
                 if status >= 500 and not enveloped:
                     last = f"HTTP {status} without a protocol envelope"
@@ -175,7 +185,7 @@ class ServeClient:
             time.sleep(delay)
         raise ServeError(
             f"cannot reach repro serve at {self.base_url} after "
-            f"{self.reconnect_tries + 1} attempt(s): {last}")
+            f"{attempt + 1} attempt(s): {last}")
 
     @staticmethod
     def _envelope(status: int, body: object) -> dict:
@@ -371,60 +381,45 @@ class RemoteRunner(Runner):
         #: server-side source tallies (sim/disk/memo/coalesced/failed)
         self.server_sources: Dict[str, int] = {}
 
-    def run_many(self, points: Sequence) -> List[SimStats]:
+    def run_many(self, specs: Sequence[RunSpec]) -> List[SimStats]:
         """Resolve runs via the daemon, order-preserving.
 
-        Accepts :class:`~repro.runtime.RunSpec` instances (or the
-        deprecated ``(kernel, cfg)`` tuples).  Deduplication is by spec
-        identity, *not* the canonical cache key: a thin client never
-        builds programs locally — the daemon derives the shared key and
-        coalesces — so two spellings of one run cost at most one wire
-        round-trip each, never a local kernel build.
+        Deduplication is by spec identity, *not* the canonical cache
+        key: a thin client never builds programs locally — the daemon
+        derives the shared key and coalesces — so two spellings of one
+        run cost at most one wire round-trip each, never a local kernel
+        build.
         """
-        resolved: Dict[object, SimStats] = {}
-        order: List[object] = []
-        pending: List[object] = []
-        for point in points:
-            spec = self._as_spec(point)
-            memo_key = (spec.kernel, spec.cfg) \
-                if isinstance(point, tuple) else spec
-            order.append(memo_key)
-            if memo_key in resolved or memo_key in pending:
+        resolved: Dict[RunSpec, SimStats] = {}
+        order: List[RunSpec] = []
+        pending: List[RunSpec] = []
+        for spec in map(self._with_defaults, specs):
+            order.append(spec)
+            if spec in resolved or spec in pending:
                 continue
-            st = self._memo.get(memo_key)
+            st = self._memo.get(spec)
             if st is not None:
                 self.memo_hits += 1
-                self.sources[memo_key] = "memo"
-                resolved[memo_key] = st
+                self.sources[spec] = "memo"
+                resolved[spec] = st
                 continue
-            pending.append(memo_key)
+            pending.append(spec)
         if pending:
-            sent: List[RunSpec] = []
-            for memo_key in pending:
-                if isinstance(memo_key, RunSpec):
-                    spec = memo_key
-                else:
-                    spec = RunSpec(memo_key[0], self.scale, self.seed,
-                                   memo_key[1])
-                    if self.sampling is not None:
-                        spec = replace(spec, sampling=self.sampling)
-                sent.append(spec)
-            specs = [JobSpec(kernel=s.kernel, scale=s.scale, seed=s.seed,
-                             cfg=s.cfg, policy=s.policy, faults=s.faults,
-                             sampling=s.sampling,
-                             priority=self.priority,
-                             client=self.client_name)
-                     for s in sent]
-            outcomes = self.client.run(specs, on_update=self.on_update)
-            for memo_key, spec, (status, stats) in zip(pending, sent,
-                                                       outcomes):
+            jobs = [JobSpec(kernel=s.kernel, scale=s.scale, seed=s.seed,
+                            cfg=s.cfg, policy=s.policy, faults=s.faults,
+                            sampling=s.sampling,
+                            priority=self.priority,
+                            client=self.client_name)
+                    for s in pending]
+            outcomes = self.client.run(jobs, on_update=self.on_update)
+            for spec, (status, stats) in zip(pending, outcomes):
                 source = status.source or status.state
                 self.server_sources[source] = (
                     self.server_sources.get(source, 0) + 1)
                 if status.state == protocol.DONE and stats is not None:
                     st = SimStats.from_dict(stats)
-                    self._memo[memo_key] = resolved[memo_key] = st
-                    self.sources[memo_key] = source
+                    self._memo[spec] = resolved[spec] = st
+                    self.sources[spec] = source
                     continue
                 err = status.error or ErrorInfo(
                     kind="failed", message=f"job ended {status.state} "
@@ -435,8 +430,8 @@ class RemoteRunner(Runner):
                     raise ServeError(f"remote job failed: "
                                      f"{failed.describe()}")
                 self.failures.append(failed)
-                self.sources[memo_key] = "failed"
-                resolved[memo_key] = failed
+                self.sources[spec] = "failed"
+                resolved[spec] = failed
         return [resolved[k] for k in order]
 
     def runtime_summary(self) -> str:

@@ -1,7 +1,6 @@
 """Trace-driven front end: dynamic traces and offline analyses.
 
-Trace records are the canonical :class:`~repro.observe.events.RetireEvent`
-(``TraceEvent`` remains as a compatibility alias).
+Trace records are the canonical :class:`~repro.observe.events.RetireEvent`.
 """
 
 from ..observe.events import RetireEvent
@@ -15,15 +14,11 @@ from .analysis import (
 )
 from .tracer import collect_trace
 
-#: compatibility alias for the pre-unification name
-TraceEvent = RetireEvent
-
 __all__ = [
     "BranchStats",
     "LoadStats",
     "ReconvergenceCheck",
     "RetireEvent",
-    "TraceEvent",
     "TraceProfile",
     "check_reconvergence",
     "collect_trace",

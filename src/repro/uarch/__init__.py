@@ -13,7 +13,7 @@ from .config import (
 )
 from .core import Core, PortState, SimulationError, simulate
 from .frontend import FetchUnit
-from .hooks import Hooks, MechanismHooks
+from .hooks import MechanismHooks
 from .funits import FUPool
 from .rename import FreeList, RenameTable
 from .rob import DynInst, MEM_ABSENT
@@ -31,7 +31,6 @@ __all__ = [
     "Gshare",
     "StaticBTFN",
     "make_predictor",
-    "Hooks",
     "INF_REGS",
     "MechanismHooks",
     "MEM_ABSENT",

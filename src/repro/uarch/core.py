@@ -41,7 +41,7 @@ from .caches import MemoryHierarchy
 from .config import ProcessorConfig
 from .frontend import FetchUnit
 from .funits import FUPool
-from .hooks import Hooks, MechanismHooks
+from .hooks import MechanismHooks
 from .rename import FreeList, RenameTable
 from .rob import DynInst, MEM_ABSENT
 from .stats import SimStats

@@ -126,6 +126,70 @@ class TestRuntimeCommands:
         rc, _ = run_cli(capsys, "cache", "verify", "--strict")
         assert rc == 1
 
+    def test_cache_verify_audits_every_store_under_one_root(
+            self, capsys, tmp_path, monkeypatch):
+        """Results, checkpoints and plans share one root: verify
+        quarantines one corrupt entry of each kind and leaves every
+        valid entry (and the other store's files) untouched."""
+        import os
+        from repro.runtime import ResultCache
+        from repro.sampling import (Checkpoint, CheckpointStore,
+                                    SamplingPlan, SamplingSpec)
+        from repro.uarch import SimStats
+        root = str(tmp_path / "cache")
+        monkeypatch.setenv("REPRO_CACHE_DIR", root)
+        cache = ResultCache(root=root, enabled=True)
+        store = CheckpointStore(root=os.path.join(root, "checkpoints"),
+                                enabled=True)
+        for key in ("aa" * 32, "bb" * 32, "cc" * 32):
+            cache.put(key, SimStats(cycles=10, committed=7))
+        fp = "f" * 64
+        for boundary in (100, 200, 300):
+            store.put(fp, Checkpoint(inst_index=boundary, pc=3,
+                                     regs=[boundary] * 4))
+        for k in (2, 3, 4):
+            store.plan_put(fp, f"k={k}", SamplingPlan.systematic(
+                10_000, SamplingSpec.parse(f"k={k}")))
+        from repro.runtime.keys import checkpoint_key
+        bad_result = cache.path_for("cc" * 32)
+        bad_ckpt = store.path_for(checkpoint_key(fp, 300))
+        bad_plan = store.path_for(checkpoint_key(fp, "plan:k=4"))
+        with open(bad_result, "w") as fh:
+            fh.write("junk")
+        for path in (bad_ckpt, bad_plan):
+            with open(path) as fh:
+                text = fh.read()
+            with open(path, "w") as fh:   # flip a digit inside the payload
+                fh.write(text.replace('"total":10000', '"total":10001')
+                         .replace('"pc":3', '"pc":4'))
+        bad = {bad_result, bad_ckpt, bad_plan}
+        valid = {}
+        for dirpath, _dirs, files in os.walk(root):
+            for name in files:
+                path = os.path.join(dirpath, name)
+                if path not in bad:
+                    with open(path, "rb") as fh:
+                        valid[path] = fh.read()
+
+        rc, out = run_cli(capsys, "cache", "verify")
+        assert rc == 1
+        assert "verified   : 2 ok, 0 stale (other schema), 1 corrupt" in out
+        assert "checkpoints: 4 ok, 0 stale, 2 corrupt, 2 quarantined" in out
+        for path in bad:
+            assert not os.path.exists(path)
+            assert f"  quarantined {path}: " in out
+            qdir = os.path.join(os.path.dirname(os.path.dirname(path)),
+                                "quarantine")
+            assert os.listdir(qdir).count(os.path.basename(path)) == 1
+        for path, data in valid.items():
+            with open(path, "rb") as fh:
+                assert fh.read() == data
+
+        rc, out = run_cli(capsys, "cache", "verify")
+        assert rc == 0
+        assert "verified   : 2 ok, 0 stale (other schema), 0 corrupt" in out
+        assert "checkpoints: 4 ok, 0 stale, 0 corrupt, 2 quarantined" in out
+
     def test_suite_populates_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         rc, out = run_cli(capsys, "suite", "--scheme", "wb",

@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import InterpreterError, assemble, run
+from repro.isa import InterpError, assemble, run
 from repro.isa.opcodes import to_unsigned
+from repro.trace import collect_trace
+
+
+def dynamic_counts(program):
+    """Conditional branches, taken branches, loads and stores executed
+    (counted from the interpreter's retired-instruction trace)."""
+    trace = collect_trace(program)
+    return {"branches": sum(e.is_cond_branch for e in trace),
+            "taken": sum(bool(e.taken) for e in trace),
+            "loads": sum(e.is_load for e in trace),
+            "stores": sum(e.is_store for e in trace)}
 
 HAMMOCK_SRC = """
 .dataw a 5 0 3 0 0 7
@@ -42,15 +53,15 @@ class TestHammockProgram:
         assert r.reg(4) == 15  # sum
 
     def test_branch_statistics(self):
-        r = run(assemble(HAMMOCK_SRC))
+        counts = dynamic_counts(assemble(HAMMOCK_SRC))
         # 6 iterations: 6 hammock branches + 6 loop-closing branches.
-        assert r.branches == 12
-        assert r.loads == 6
+        assert counts["branches"] == 12
+        assert counts["loads"] == 6
 
     def test_memory_untouched(self):
         p = assemble(HAMMOCK_SRC)
         r = run(p)
-        assert r.stores == 0
+        assert dynamic_counts(p)["stores"] == 0
         assert r.memory == p.initial_memory()
 
 
@@ -79,7 +90,7 @@ class TestBasics:
         assert r.reg(2) == 0
 
     def test_runaway_guard(self):
-        with pytest.raises(InterpreterError):
+        with pytest.raises(InterpError):
             run(assemble("loop: j loop"), max_steps=100)
 
     def test_negative_values_roundtrip_memory(self):
@@ -147,7 +158,8 @@ class TestLoopSemantics:
             bnez r1, loop
             halt
         """
-        r = run(assemble(src))
-        assert r.reg(1) == 0
-        assert r.branches == n
-        assert r.taken == n - 1
+        p = assemble(src)
+        assert run(p).reg(1) == 0
+        counts = dynamic_counts(p)
+        assert counts["branches"] == n
+        assert counts["taken"] == n - 1

@@ -4,7 +4,7 @@ Covers the registry API itself (lookup, suggestions, component-name
 validation, runtime registration) and proves the two registry-derived
 ablation policies — ``ci-oracle-mbs`` and ``ci-ideal-reconv`` — run
 correctly end-to-end: against the functional oracle, through the
-process pool (including the ``SimJob.policy`` name override), and
+process pool (including the ``RunSpec.policy`` name override), and
 through the persistent result cache.
 """
 
@@ -21,7 +21,7 @@ from repro.ci import (
 )
 from repro.ci.registry import _REGISTRY
 from repro.isa import run as run_functional
-from repro.runtime import ResultCache, SimJob, execute_jobs
+from repro.runtime import ResultCache, RunSpec, execute_jobs
 from repro.runtime.parallel import ParallelRunner
 from repro.uarch.config import ci
 from repro.workloads import build_program
@@ -110,15 +110,15 @@ class TestAblationPolicies:
 class TestRuntimeIntegration:
     def test_simjob_policy_override(self):
         base = ci(1, 512)  # ci_policy == "ci"
-        job = SimJob("eon", SCALE, SEED, base, policy="ci-oracle-mbs")
+        job = RunSpec("eon", SCALE, SEED, base, policy="ci-oracle-mbs")
         assert job.resolved_cfg().ci_policy == "ci-oracle-mbs"
-        assert SimJob("eon", SCALE, SEED, base).resolved_cfg() is base
+        assert RunSpec("eon", SCALE, SEED, base).resolved_cfg() is base
 
     def test_ablations_through_the_pool(self):
         """Both new policies run in worker processes; the name override
         produces the same stats as baking the policy into the config."""
         base = ci(1, 512)
-        jobs = [SimJob("eon", SCALE, SEED, base, policy=p)
+        jobs = [RunSpec("eon", SCALE, SEED, base, policy=p)
                 for p in ABLATIONS]
         pooled = execute_jobs(jobs, 2)
         for policy, st in zip(ABLATIONS, pooled):

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import run_program
+from repro.ci import policy_names
 from repro.isa import NUM_LOGICAL_REGS, assemble
 from repro.isa import run as run_functional
 from repro.uarch import Core, ProcessorConfig, ci, scal, wb, with_spec_mem
@@ -113,6 +114,9 @@ def program_source(draw):
     return "\n".join(lines)
 
 
+#: machine shapes (ports, register file, replicas, speculative memory)
+#: plus, below, every registered policy not already listed — so a new
+#: policy comes under the interp oracle with no edit here
 CONFIGS = [
     ("scal", scal(1, 256)),
     ("wb2p", wb(2, 512)),
@@ -124,6 +128,8 @@ CONFIGS = [
     ("ci-1rep", ci(1, 256, replicas=1)),
     ("ci-8rep", ci(2, 512, replicas=8)),
 ]
+CONFIGS += [(name, ci(1, 256, policy=name)) for name in policy_names()
+            if name not in dict(CONFIGS)]
 
 
 @pytest.mark.parametrize("label,cfg", CONFIGS)

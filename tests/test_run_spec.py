@@ -116,19 +116,6 @@ class TestRegistry:
         assert len(prog) > 0
 
 
-class TestTupleShim:
-    def test_tuple_points_warn_but_work(self):
-        from repro.experiments.common import Runner
-        from repro.runtime import ResultCache
-        runner = Runner(scale=0.05, seed=1, jobs=1,
-                        cache=ResultCache(enabled=False))
-        cfg = wb(1, 512)
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = runner.run_many([("gzip", cfg)])
-        modern = runner.run_many([RunSpec("gzip", 0.05, 1, cfg)])
-        assert legacy[0].as_dict() == modern[0].as_dict()
-
-
 class TestKeyStability:
     """One identity everywhere: pool, serve coalescing, JSON wire."""
 

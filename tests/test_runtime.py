@@ -8,9 +8,9 @@ import pytest
 
 from repro import run_kernel
 from repro.runtime import (
+    RunSpec,
     FailedResult,
     ResultCache,
-    SimJob,
     WorkerError,
     config_token,
     default_jobs,
@@ -34,6 +34,10 @@ SEED = 1
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(root=str(tmp_path / "cache"), enabled=True)
+
+
+def spec(kernel, cfg):
+    return RunSpec(kernel, SCALE, SEED, cfg)
 
 
 def make_runner(cache, jobs=1, scale=SCALE):
@@ -103,18 +107,18 @@ class TestResultCache:
 
 class TestExecuteJobs:
     def test_serial_path(self):
-        [st] = execute_jobs([SimJob("eon", SCALE, SEED, wb(1, 256))], 1)
+        [st] = execute_jobs([RunSpec("eon", SCALE, SEED, wb(1, 256))], 1)
         assert st.committed > 0
 
     def test_pool_path(self):
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("gzip", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("gzip", SCALE, SEED, wb(1, 256))]
         stats = execute_jobs(jobs, 2)
         assert len(stats) == 2 and all(s.committed > 0 for s in stats)
 
     def test_worker_failure_reports_cleanly(self):
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("nosuchkernel", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256))]
         with pytest.raises(WorkerError, match="nosuchkernel"):
             execute_jobs(jobs, 2)
 
@@ -152,9 +156,9 @@ def _hang_once(job):
 
 class TestResilience:
     def test_worker_error_aggregates_all_failures(self):
-        jobs = [SimJob("nosuchkernel", SCALE, SEED, wb(1, 256)),
-                SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("alsomissing", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256)),
+                RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("alsomissing", SCALE, SEED, wb(1, 256))]
         with pytest.raises(WorkerError) as exc_info:
             execute_jobs_observed(jobs, 2)
         msg = str(exc_info.value)
@@ -163,9 +167,9 @@ class TestResilience:
         assert "Traceback" in msg          # full context, not just a name
 
     def test_keep_going_returns_placeholders_in_order(self):
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("nosuchkernel", SCALE, SEED, wb(1, 256)),
-                SimJob("gzip", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256)),
+                RunSpec("gzip", SCALE, SEED, wb(1, 256))]
         out = execute_jobs_observed(jobs, 2, keep_going=True)
         assert len(out) == 3
         assert out[0][0].committed > 0 and out[2][0].committed > 0
@@ -186,8 +190,8 @@ class TestResilience:
 
     def test_stall_watchdog_times_out_hung_worker(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_run_job", _hang_on_mcf)
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("mcf", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("mcf", SCALE, SEED, wb(1, 256))]
         start = time.monotonic()
         out = execute_jobs_observed(jobs, 2, timeout=1.5, retries=0,
                                     keep_going=True)
@@ -201,14 +205,14 @@ class TestResilience:
         monkeypatch.setenv("_REPRO_TEST_HANG_FLAG",
                            str(tmp_path / "hung-once"))
         monkeypatch.setattr(parallel_mod, "_run_job", _hang_once)
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("mcf", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("mcf", SCALE, SEED, wb(1, 256))]
         out = execute_jobs_observed(jobs, 2, timeout=1.5, retries=1)
         assert all(st.committed > 0 for st, _ in out)   # recovered
 
     def test_permanent_failures_are_not_retried(self):
         # One pass only: a worker traceback is deterministic.
-        jobs = [SimJob("nosuchkernel", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("nosuchkernel", SCALE, SEED, wb(1, 256))]
         out = execute_jobs_observed(jobs, 1, retries=3, keep_going=True)
         assert out[0][0].attempts == 1
 
@@ -216,7 +220,7 @@ class TestResilience:
         r = ParallelRunner(scale=SCALE, seed=SEED, jobs=2, cache=cache,
                            keep_going=True)
         cfg = wb(1, 256)
-        out = r.run_many([("eon", cfg), ("nosuchkernel", cfg)])
+        out = r.run_many([spec("eon", cfg), spec("nosuchkernel", cfg)])
         assert out[0].committed > 0
         assert getattr(out[1], "failed", False)
         assert len(r.failures) == 1
@@ -227,10 +231,10 @@ class TestResilience:
         r = ParallelRunner(scale=SCALE, seed=SEED, jobs=1, cache=cache,
                            keep_going=True)
         cfg = wb(1, 256)
-        out1 = r.run_many([("nosuchkernel", cfg)])
+        out1 = r.run_many([spec("nosuchkernel", cfg)])
         assert getattr(out1[0], "failed", False)
         n = r.sims_run
-        out2 = r.run_many([("nosuchkernel", cfg)])
+        out2 = r.run_many([spec("nosuchkernel", cfg)])
         assert r.sims_run == n + 1     # re-attempted, not served from memo
         assert getattr(out2[0], "failed", False)
 
@@ -273,7 +277,7 @@ class TestParallelRunner:
     def test_batch_dedupes_repeated_points(self, cache):
         r = make_runner(cache)
         cfg = wb(1, 256)
-        out = r.run_many([("eon", cfg), ("eon", cfg), ("eon", cfg)])
+        out = r.run_many([spec("eon", cfg)] * 3)
         assert r.sims_run == 1
         assert out[0] is out[1] is out[2]
 
@@ -294,7 +298,8 @@ class TestDeterminism:
 
         nocache = ResultCache(root=str(tmp_path / "c1"), enabled=True)
         pooled = make_runner(nocache, jobs=2)
-        via_pool = pooled.run_many([("eon", self.CFG), ("gzip", self.CFG)])[0]
+        via_pool = pooled.run_many([spec("eon", self.CFG),
+                                    spec("gzip", self.CFG)])[0]
         assert pooled.sims_run == 2
 
         rehydrated = make_runner(nocache).run("eon", self.CFG)
@@ -309,7 +314,7 @@ class TestDeterminism:
         serial = run_kernel("gzip", cfg, scale=SCALE, seed=SEED)
         cache = ResultCache(root=str(tmp_path / "c2"), enabled=True)
         pooled = make_runner(cache, jobs=2).run_many(
-            [("gzip", cfg), ("eon", cfg)])[0]
+            [spec("gzip", cfg), spec("eon", cfg)])[0]
         assert serial.to_dict() == pooled.to_dict()
 
     def test_figure_output_identical_with_observer(self, tmp_path):
@@ -336,7 +341,7 @@ class TestDeterminism:
     def test_observing_runner_payload_determinism(self, tmp_path):
         """Merged payloads agree between serial and pooled execution."""
         cfg = ci(1, 512)
-        points = [("eon", cfg), ("gzip", cfg), ("mcf", cfg)]
+        points = [spec("eon", cfg), spec("gzip", cfg), spec("mcf", cfg)]
 
         def observed_run(jobs, sub):
             cache = ResultCache(root=str(tmp_path / sub), enabled=True)
@@ -386,7 +391,7 @@ class TestServingSatellites:
         r = ParallelRunner(scale=SCALE, seed=SEED, jobs=1, cache=cache,
                            keep_going=True)
         cfg = wb(1, 256)
-        r.run_many([("nosuchkernel", cfg)])
+        r.run_many([spec("nosuchkernel", cfg)])
         assert r.sources[("nosuchkernel", cfg)] == "failed"
 
     def test_pool_restart_counter_increments_on_retry(self, monkeypatch,
@@ -397,8 +402,8 @@ class TestServingSatellites:
         monkeypatch.setattr(parallel_mod, "_run_job", _hang_once)
         before = pool_restart_count()
         # Two jobs: the single-job serial path bypasses pool + watchdog.
-        jobs = [SimJob("eon", SCALE, SEED, wb(1, 256)),
-                SimJob("mcf", SCALE, SEED, wb(1, 256))]
+        jobs = [RunSpec("eon", SCALE, SEED, wb(1, 256)),
+                RunSpec("mcf", SCALE, SEED, wb(1, 256))]
         execute_jobs_observed(jobs, 2, timeout=1.5, retries=1)
         assert pool_restart_count() == before + 1
 

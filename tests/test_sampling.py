@@ -147,8 +147,7 @@ class TestPlanShapes(unittest.TestCase):
 
     def test_plans_are_deterministic(self):
         spec = RunSpec("bzip2", 0.3, 1)
-        store = CheckpointStore(enabled=False)
-        total, feats = feature_pass(spec.program(), GRANULARITY, store)
+        total, feats = feature_pass(spec.program(), GRANULARITY)
         a = SamplingPlan.phased(total, feats, SamplingSpec())
         b = SamplingPlan.phased(total, feats, SamplingSpec())
         self.assertEqual(a, b)

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro import run_kernel
-from repro.runtime import ResultCache
+from repro.runtime import ResultCache, RunSpec
 from repro.serve import (
     AdmissionController,
     JobSpec,
@@ -472,7 +472,8 @@ class TestRemoteRunner:
         def drive(client):
             runner = RemoteRunner(client.base_url, scale=SCALE, seed=SEED,
                                   keep_going=True)
-            out = runner.run_many([("nosuchkernel", ProcessorConfig())])
+            out = runner.run_many(
+                [RunSpec("nosuchkernel", SCALE, SEED, ProcessorConfig())])
             return out, runner
 
         out, runner = _drive(_serve_fixture(tmp_path), drive)
@@ -492,6 +493,31 @@ class TestRemoteRunner:
         runner = RemoteRunner("127.0.0.1:1", scale=SCALE, seed=SEED)
         with pytest.raises(ServeError, match="cannot reach"):
             runner.run("gzip", ProcessorConfig())
+
+    def test_refused_first_connection_fails_at_once(self):
+        import time
+        client = ServeClient("127.0.0.1:1")
+        start = time.monotonic()
+        with pytest.raises(ServeError, match="after 1 attempt"):
+            client.health()
+        assert time.monotonic() - start < 2.0
+
+    def test_refusal_after_an_answer_still_backs_off(self, monkeypatch):
+        client = ServeClient("127.0.0.1:1", reconnect_tries=2,
+                             backoff_base=0.001, backoff_cap=0.001)
+        calls = []
+
+        def request_once(method, path, body=None):
+            calls.append(path)
+            if len(calls) == 1:
+                return 200, {"ok": True, "status": "ok"}
+            raise ConnectionRefusedError("daemon restarting")
+
+        monkeypatch.setattr(client, "_request_once", request_once)
+        assert client.health()["status"] == "ok"
+        with pytest.raises(ServeError, match="after 3 attempt"):
+            client.health()
+        assert len(calls) == 4
 
 
 # -- crash safety -----------------------------------------------------------
