@@ -10,17 +10,22 @@ Public API quick tour::
 See README.md for the full walkthrough and DESIGN.md for the system map.
 """
 
-import os
-from typing import Optional
+from __future__ import annotations
 
-from . import isa, observe, trace, uarch, workloads
-from . import runtime
-from .ci import MechanismPipeline, PolicySpec
-from .isa import Program, assemble
-from .observe import Observer
-from .uarch import Core, MechanismHooks, ProcessorConfig, SimStats, simulate
-from .uarch import config as configs
-from .workloads import build_program, build_suite, kernel_names
+import os
+from typing import TYPE_CHECKING, Optional
+
+from ._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from . import isa, observe, runtime, trace, uarch, workloads
+    from .ci import MechanismPipeline, PolicySpec
+    from .isa import Program, assemble
+    from .observe import Observer
+    from .uarch import (Core, MechanismHooks, ProcessorConfig, SimStats,
+                        simulate)
+    from .uarch import config as configs
+    from .workloads import build_program, kernel_names
 
 __version__ = "1.0.0"
 
@@ -30,7 +35,10 @@ def hooks_for(cfg: ProcessorConfig) -> Optional[MechanismHooks]:
 
     The policy name resolves against the registry at attach time, so a
     policy registered after config construction still works."""
-    return MechanismPipeline() if cfg.ci_policy else None
+    if not cfg.ci_policy:
+        return None
+    from .ci.pipeline import MechanismPipeline
+    return MechanismPipeline()
 
 
 def run_program(program: Program, cfg: Optional[ProcessorConfig] = None,
@@ -47,6 +55,8 @@ def run_program(program: Program, cfg: Optional[ProcessorConfig] = None,
     neither active this is the plain fast path — no fault machinery is
     even imported.
     """
+    from .uarch.config import ProcessorConfig
+    from .uarch.core import Core, simulate
     cfg = cfg or ProcessorConfig()
     if faults is None:
         faults = os.environ.get("REPRO_FAULTS") or None
@@ -80,32 +90,19 @@ def run_kernel(name: str, cfg: Optional[ProcessorConfig] = None,
                max_instructions: Optional[int] = None,
                observer: Optional[Observer] = None) -> SimStats:
     """Build one suite kernel and simulate it under ``cfg``."""
+    from .workloads import build_program
     return run_program(build_program(name, scale, seed), cfg,
                        max_instructions=max_instructions, observer=observer)
 
 
-__all__ = [
-    "Core",
-    "MechanismHooks",
-    "MechanismPipeline",
-    "PolicySpec",
-    "ProcessorConfig",
-    "Program",
-    "SimStats",
-    "assemble",
-    "build_program",
-    "build_suite",
-    "configs",
-    "hooks_for",
-    "isa",
-    "kernel_names",
-    "observe",
-    "Observer",
-    "run_kernel",
-    "run_program",
-    "runtime",
-    "simulate",
-    "trace",
-    "uarch",
-    "workloads",
-]
+__getattr__, __dir__, _names = lazy_surface(__name__, {
+    ".ci": ("MechanismPipeline", "PolicySpec"),
+    ".isa": ("Program", "assemble"),
+    ".observe": ("Observer",),
+    ".uarch": ("Core", "MechanismHooks", "ProcessorConfig", "SimStats",
+               "simulate"),
+    ".workloads": ("build_program", "kernel_names"),
+}, modules={"configs": ".uarch.config", "isa": ".isa",
+            "observe": ".observe", "runtime": ".runtime", "trace": ".trace",
+            "uarch": ".uarch", "workloads": ".workloads"})
+__all__ = [*_names, "hooks_for", "run_kernel", "run_program"]

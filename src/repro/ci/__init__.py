@@ -9,71 +9,45 @@ registry entries assembling those components — see
 :mod:`repro.ci.registry`.
 """
 
-from ..observe.events import ReuseEvent
-from .filters import (
-    AlwaysHardFilter,
-    HardBranchFilter,
-    MBSFilter,
-    NeverHardFilter,
-    OracleBiasFilter,
-)
-from .mbs import MBS, MBSEntry
-from .pipeline import MechanismPipeline
-from .reconverge import CRP, NRBQ, NRBQEntry, estimate_reconvergent_point
-from .registry import (
-    PolicySpec,
-    all_policies,
-    build_components,
-    get_policy,
-    policy_names,
-    register_policy,
-)
-from .replicas import ReplicaManager
-from .selection import GreedySliceSelector, SliceSelector
-from .specmem import SpecDataMemory
-from .squash_reuse import ReuseRecord, SquashReuseBuffer, SquashReuseUnit
-from .srsmt import Operand, ReplicaScheduler, SRSMT, SRSMTEntry
-from .stride import StrideEntry, StridePredictor
-from .tracking import (
-    IdealReconvergenceTracker,
-    ReconvergenceTracker,
-    compute_ipdoms,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AlwaysHardFilter",
-    "CRP",
-    "GreedySliceSelector",
-    "HardBranchFilter",
-    "IdealReconvergenceTracker",
-    "MBS",
-    "MBSEntry",
-    "MBSFilter",
-    "MechanismPipeline",
-    "NRBQ",
-    "NRBQEntry",
-    "NeverHardFilter",
-    "Operand",
-    "OracleBiasFilter",
-    "PolicySpec",
-    "ReconvergenceTracker",
-    "ReplicaManager",
-    "ReplicaScheduler",
-    "ReuseEvent",
-    "ReuseRecord",
-    "SRSMT",
-    "SRSMTEntry",
-    "SliceSelector",
-    "SpecDataMemory",
-    "SquashReuseBuffer",
-    "SquashReuseUnit",
-    "StrideEntry",
-    "StridePredictor",
-    "all_policies",
-    "build_components",
-    "compute_ipdoms",
-    "estimate_reconvergent_point",
-    "get_policy",
-    "policy_names",
-    "register_policy",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from ..observe.events import ReuseEvent
+    from .filters import (AlwaysHardFilter, HardBranchFilter, MBSFilter,
+                          NeverHardFilter, OracleBiasFilter)
+    from .mbs import MBS, MBSEntry
+    from .pipeline import MechanismPipeline
+    from .reconverge import (CRP, NRBQ, NRBQEntry,
+                             estimate_reconvergent_point)
+    from .registry import (PolicySpec, all_policies, build_components,
+                           get_policy, policy_names, register_policy)
+    from .replicas import ReplicaManager
+    from .selection import GreedySliceSelector, SliceSelector
+    from .specmem import SpecDataMemory
+    from .squash_reuse import ReuseRecord, SquashReuseBuffer, SquashReuseUnit
+    from .srsmt import SRSMT, Operand, ReplicaScheduler, SRSMTEntry
+    from .stride import StrideEntry, StridePredictor
+    from .tracking import (IdealReconvergenceTracker, ReconvergenceTracker,
+                           compute_ipdoms)
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "..observe.events": ("ReuseEvent",),
+    ".filters": ("AlwaysHardFilter", "HardBranchFilter", "MBSFilter",
+                 "NeverHardFilter", "OracleBiasFilter"),
+    ".mbs": ("MBS", "MBSEntry"),
+    ".pipeline": ("MechanismPipeline",),
+    ".reconverge": ("CRP", "NRBQ", "NRBQEntry",
+                    "estimate_reconvergent_point"),
+    ".registry": ("PolicySpec", "all_policies", "build_components",
+                  "get_policy", "policy_names", "register_policy"),
+    ".replicas": ("ReplicaManager",),
+    ".selection": ("GreedySliceSelector", "SliceSelector"),
+    ".specmem": ("SpecDataMemory",),
+    ".squash_reuse": ("ReuseRecord", "SquashReuseBuffer", "SquashReuseUnit"),
+    ".srsmt": ("Operand", "ReplicaScheduler", "SRSMT", "SRSMTEntry"),
+    ".stride": ("StrideEntry", "StridePredictor"),
+    ".tracking": ("IdealReconvergenceTracker", "ReconvergenceTracker",
+                  "compute_ipdoms"),
+})

@@ -30,21 +30,15 @@ resolved locally on each side, so custom components stay picklable-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..suggest import unknown_name_message
 
-from .filters import (
-    AlwaysHardFilter,
-    HardBranchFilter,
-    MBSFilter,
-    NeverHardFilter,
-    OracleBiasFilter,
-)
-from .replicas import ReplicaManager
-from .selection import GreedySliceSelector, SliceSelector
-from .squash_reuse import SquashReuseUnit
-from .tracking import IdealReconvergenceTracker, ReconvergenceTracker
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .filters import HardBranchFilter
+    from .replicas import ReplicaManager
+    from .selection import SliceSelector
+    from .tracking import ReconvergenceTracker
 
 
 @dataclass(frozen=True)
@@ -65,26 +59,39 @@ class PolicySpec:
     squash_reuse: bool = False
 
 
-FILTERS: Dict[str, Callable[[], HardBranchFilter]] = {
-    "mbs": MBSFilter,
-    "oracle": OracleBiasFilter,
-    "always": AlwaysHardFilter,
-    "never": NeverHardFilter,
+def _component(name: str, **kwargs: Any) -> Callable[[], Any]:
+    """Factory for the component class ``repro.ci.<name>``.
+
+    The class is resolved on the factory's first call, so validating a
+    policy name (every config naming one does) never loads the
+    mechanism itself.
+    """
+    def make() -> Any:
+        from .. import ci
+        return getattr(ci, name)(**kwargs)
+    return make
+
+
+FILTERS: Dict[str, Callable[[], "HardBranchFilter"]] = {
+    "mbs": _component("MBSFilter"),
+    "oracle": _component("OracleBiasFilter"),
+    "always": _component("AlwaysHardFilter"),
+    "never": _component("NeverHardFilter"),
 }
 
-TRACKERS: Dict[str, Callable[[], ReconvergenceTracker]] = {
-    "static": ReconvergenceTracker,
-    "ideal": IdealReconvergenceTracker,
+TRACKERS: Dict[str, Callable[[], "ReconvergenceTracker"]] = {
+    "static": _component("ReconvergenceTracker"),
+    "ideal": _component("IdealReconvergenceTracker"),
 }
 
-SELECTORS: Dict[str, Callable[[], SliceSelector]] = {
-    "ci": SliceSelector,
-    "greedy": GreedySliceSelector,
+SELECTORS: Dict[str, Callable[[], "SliceSelector"]] = {
+    "ci": _component("SliceSelector"),
+    "greedy": _component("GreedySliceSelector"),
 }
 
-MANAGERS: Dict[str, Callable[[], ReplicaManager]] = {
-    "ci": lambda: ReplicaManager(greedy=False),
-    "vect": lambda: ReplicaManager(greedy=True),
+MANAGERS: Dict[str, Callable[[], "ReplicaManager"]] = {
+    "ci": _component("ReplicaManager", greedy=False),
+    "vect": _component("ReplicaManager", greedy=True),
 }
 
 _REGISTRY: Dict[str, PolicySpec] = {}
@@ -134,6 +141,7 @@ def build_components(spec: PolicySpec, cfg) -> dict:
     the MBS, preserving the pre-registry meaning of that ablation flag
     ("treat every branch as hard").
     """
+    from .. import ci
     filter_key = spec.filter
     if filter_key == "mbs" and not cfg.ci_mbs_filter:
         filter_key = "always"
@@ -142,7 +150,7 @@ def build_components(spec: PolicySpec, cfg) -> dict:
         "tracker": TRACKERS[spec.tracker]() if spec.tracker else None,
         "selector": SELECTORS[spec.selector]() if spec.selector else None,
         "replicas": MANAGERS[spec.replicas]() if spec.replicas else None,
-        "squash_reuse": SquashReuseUnit() if spec.squash_reuse else None,
+        "squash_reuse": ci.SquashReuseUnit() if spec.squash_reuse else None,
     }
 
 

@@ -102,14 +102,6 @@ class SRSMTEntry:
             return any(a == addr for a in self.addrs if a is not None)
         return self.range_lo <= addr <= self.range_hi
 
-    @property
-    def exhausted(self) -> bool:
-        return self.decode >= self.nregs
-
-    @property
-    def fully_committed(self) -> bool:
-        return self.commit >= self.nregs
-
     def rollback_decode(self) -> None:
         """Branch-misprediction recovery: copy commit into decode."""
         self.decode = self.commit
@@ -227,7 +219,6 @@ class ReplicaScheduler:
         self._serial = 0
         self.load_latency = load_latency
         self.mem_read = mem_read
-        self.executed = 0
         #: operand-blocked replicas parked off the scan path, keyed by the
         #: producer replica they wait on: (id(producer_entry), replica_idx)
         #: → items.  A drained completion for that replica re-activates
@@ -379,7 +370,6 @@ class ReplicaScheduler:
             entry.issue += 1
             issued += 1
             writes += 1
-            self.executed += 1
             stats.replicas_executed += 1
             self._tick += 1
             heapq.heappush(self.completions,

@@ -335,10 +335,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    import os
-    os.environ["REPRO_SCALE"] = str(args.scale)
     from .experiments import ALL_EXPERIMENTS, generate_report
-    runner = _make_runner(args)
+    runner = _make_runner(args, scale=args.scale)
     if args.name == "all":
         print(generate_report(runner))
         return _finish_sweep(runner)
@@ -353,14 +351,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    import os
-    os.environ["REPRO_SCALE"] = str(args.scale)
     from .experiments import ALL_ABLATIONS
     if args.name not in ALL_ABLATIONS:
         print(f"unknown ablation {args.name!r}; known: "
               f"{', '.join(sorted(ALL_ABLATIONS))}", file=sys.stderr)
         return 2
-    runner = _make_runner(args)
+    runner = _make_runner(args, scale=args.scale)
     print(ALL_ABLATIONS[args.name](runner).render())
     return _finish_sweep(runner)
 
@@ -840,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    from .runtime import WorkerError
     try:
         return args.fn(args)
     except UnknownWorkloadError as exc:
@@ -848,12 +843,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("hint: 'repro kernels' lists the registered kernels",
               file=sys.stderr)
         return 2
-    except WorkerError as exc:
-        # Sweep-level failure: the aggregated report, not a traceback.
-        # A SIGINT drain exits 130 like any interrupted Unix process.
-        print(f"error: {exc}", file=sys.stderr)
-        return 130 if exc.interrupted else 1
     except Exception as exc:
+        from .runtime.parallel import WorkerError
+        if isinstance(exc, WorkerError):
+            # Sweep-level failure: the aggregated report, not a
+            # traceback.  A SIGINT drain exits 130 like any interrupted
+            # Unix process.
+            print(f"error: {exc}", file=sys.stderr)
+            return 130 if exc.interrupted else 1
         from .serve.client import ServeError
         if isinstance(exc, ServeError):
             print(f"error: {exc}", file=sys.stderr)

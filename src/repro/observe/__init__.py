@@ -24,45 +24,25 @@ Observers compose with the process-pool runtime: workers ship
 :func:`merge_payloads` merges them deterministically in job order.
 """
 
-from .audit import REASONS, AuditTrail, EventAudit
-from .base import (
-    MultiObserver,
-    NullObserver,
-    Observer,
-    make_observer,
-    merge_payloads,
-    observer_names,
-)
-from .cpistack import COMPONENTS, CPIStack
-from .events import (
-    MECHANISM_KINDS,
-    OBSERVER_HOOKS,
-    PIPELINE_KINDS,
-    EventKind,
-    RetireEvent,
-    ReuseEvent,
-)
-from .pipetrace import InstRecord, PipeTracer, parse_konata
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AuditTrail",
-    "COMPONENTS",
-    "CPIStack",
-    "EventAudit",
-    "EventKind",
-    "InstRecord",
-    "MECHANISM_KINDS",
-    "MultiObserver",
-    "NullObserver",
-    "OBSERVER_HOOKS",
-    "Observer",
-    "PIPELINE_KINDS",
-    "PipeTracer",
-    "REASONS",
-    "RetireEvent",
-    "ReuseEvent",
-    "make_observer",
-    "merge_payloads",
-    "observer_names",
-    "parse_konata",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from .audit import REASONS, AuditTrail, EventAudit
+    from .base import (MultiObserver, NullObserver, Observer, make_observer,
+                       merge_payloads, observer_names)
+    from .cpistack import COMPONENTS, CPIStack
+    from .events import (MECHANISM_KINDS, OBSERVER_HOOKS, PIPELINE_KINDS,
+                         EventKind, RetireEvent, ReuseEvent)
+    from .pipetrace import InstRecord, PipeTracer, parse_konata
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    ".audit": ("REASONS", "AuditTrail", "EventAudit"),
+    ".base": ("MultiObserver", "NullObserver", "Observer", "make_observer",
+              "merge_payloads", "observer_names"),
+    ".cpistack": ("COMPONENTS", "CPIStack"),
+    ".events": ("MECHANISM_KINDS", "OBSERVER_HOOKS", "PIPELINE_KINDS",
+                "EventKind", "RetireEvent", "ReuseEvent"),
+    ".pipetrace": ("InstRecord", "PipeTracer", "parse_konata"),
+})

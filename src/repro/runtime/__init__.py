@@ -24,63 +24,34 @@ so every figure, ablation, benchmark and CLI sweep gets the pool and
 the cache for free.
 """
 
-from .cache import (
-    CacheEntryError,
-    ResultCache,
-    cache_enabled,
-    default_cache_dir,
-)
-from .keys import (
-    CACHE_SCHEMA,
-    cached_program,
-    config_token,
-    image_digest,
-    job_key,
-    program_fingerprint,
-    run_key,
-    stats_digest,
-)
-from .parallel import (
-    TRANSIENT_PHASES,
-    FailedResult,
-    ParallelRunner,
-    WorkerError,
-    aggregate_failure_report,
-    default_jobs,
-    default_retries,
-    default_timeout,
-    execute_jobs,
-    execute_jobs_observed,
-    pool_restart_count,
-)
-from .profiling import profile_kernel
-from .spec import SPEC_FIELDS, RunSpec
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "CacheEntryError",
-    "FailedResult",
-    "ParallelRunner",
-    "ResultCache",
-    "RunSpec",
-    "SPEC_FIELDS",
-    "TRANSIENT_PHASES",
-    "WorkerError",
-    "aggregate_failure_report",
-    "cache_enabled",
-    "cached_program",
-    "config_token",
-    "default_cache_dir",
-    "default_jobs",
-    "default_retries",
-    "default_timeout",
-    "execute_jobs",
-    "execute_jobs_observed",
-    "image_digest",
-    "job_key",
-    "pool_restart_count",
-    "profile_kernel",
-    "program_fingerprint",
-    "run_key",
-    "stats_digest",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from .cache import (CacheEntryError, ResultCache, cache_enabled,
+                        default_cache_dir)
+    from .keys import (CACHE_SCHEMA, cached_program, config_token,
+                       image_digest, job_key, program_fingerprint, run_key,
+                       stats_digest)
+    from .parallel import (TRANSIENT_PHASES, FailedResult, ParallelRunner,
+                           WorkerError, aggregate_failure_report,
+                           default_jobs, default_retries, default_timeout,
+                           execute_jobs, execute_jobs_observed,
+                           pool_restart_count)
+    from .profiling import profile_kernel
+    from .spec import SPEC_FIELDS, RunSpec
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    ".cache": ("CacheEntryError", "ResultCache", "cache_enabled",
+               "default_cache_dir"),
+    ".keys": ("CACHE_SCHEMA", "cached_program", "config_token",
+              "image_digest", "job_key", "program_fingerprint", "run_key",
+              "stats_digest"),
+    ".parallel": ("TRANSIENT_PHASES", "FailedResult", "ParallelRunner",
+                  "WorkerError", "aggregate_failure_report", "default_jobs",
+                  "default_retries", "default_timeout", "execute_jobs",
+                  "execute_jobs_observed", "pool_restart_count"),
+    ".profiling": ("profile_kernel",),
+    ".spec": ("SPEC_FIELDS", "RunSpec"),
+})

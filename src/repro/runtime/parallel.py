@@ -301,6 +301,23 @@ def _terminate_workers(pool: ProcessPoolExecutor) -> None:
         pass
 
 
+def _import_job_code(jobs: Sequence[RunSpec]) -> None:
+    """Import, in this process, the code ``_run_job`` executes.
+
+    Package surfaces resolve on first use (DESIGN.md §3.1), so a pool
+    forked before the first simulation would leave each of its workers
+    to import the simulator, the mechanism and the observers on its
+    own.  Importing them here, before the fork, lets every worker
+    inherit them.
+    """
+    from .. import ci, observe, uarch
+    for package in (uarch, ci, observe):
+        for name in package.__all__:
+            getattr(package, name)
+    if any(job.sampling for job in jobs):
+        from ..sampling import executor  # noqa: F401
+
+
 def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                    results: List[_Slot], n_workers: int,
                    timeout: Optional[float]) -> List[int]:
@@ -315,6 +332,7 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
     """
     transient: List[int] = []
     chunks = _batch_chunks(jobs, indexes, n_workers)
+    _import_job_code([jobs[i] for i in indexes])
     try:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)),
                                  mp_context=_pool_context(),

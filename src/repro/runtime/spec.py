@@ -25,8 +25,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from ..uarch import ProcessorConfig
-from ..uarch.config import config_from_dict, config_to_dict
+from ..uarch.config import ProcessorConfig, config_from_dict, config_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.plan import FaultPlan

@@ -15,36 +15,30 @@ pool supervision), ``journal`` (the crash-safety write-ahead log),
 thin-client runner), ``metrics`` (Prometheus / healthz).
 """
 
-from .client import RemoteRunner, ServeClient, ServeError, parse_address
-from .journal import JobJournal, JournalReplay, replay_journal
-from .metrics import ServerMetrics
-from .protocol import (DEFAULT_PORT, PROTOCOL_VERSION, ErrorInfo, JobSpec,
-                       JobStatus, ProtocolError)
-from .queue import ServeQueue
-from .scheduler import (AdmissionController, Dispatcher, PoolSupervisor,
-                        SimExecutor)
-from .server import ServeServer, serve_main
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AdmissionController",
-    "DEFAULT_PORT",
-    "Dispatcher",
-    "ErrorInfo",
-    "JobJournal",
-    "JobSpec",
-    "JobStatus",
-    "JournalReplay",
-    "PROTOCOL_VERSION",
-    "PoolSupervisor",
-    "ProtocolError",
-    "RemoteRunner",
-    "ServeClient",
-    "ServeError",
-    "ServeQueue",
-    "ServeServer",
-    "ServerMetrics",
-    "SimExecutor",
-    "parse_address",
-    "replay_journal",
-    "serve_main",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from .client import RemoteRunner, ServeClient, ServeError, parse_address
+    from .journal import JobJournal, JournalReplay, replay_journal
+    from .metrics import ServerMetrics
+    from .protocol import (DEFAULT_PORT, PROTOCOL_VERSION, ErrorInfo,
+                           JobSpec, JobStatus, ProtocolError)
+    from .queue import ServeQueue
+    from .scheduler import (AdmissionController, Dispatcher, PoolSupervisor,
+                            SimExecutor)
+    from .server import ServeServer, serve_main
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    ".client": ("RemoteRunner", "ServeClient", "ServeError",
+                "parse_address"),
+    ".journal": ("JobJournal", "JournalReplay", "replay_journal"),
+    ".metrics": ("ServerMetrics",),
+    ".protocol": ("DEFAULT_PORT", "PROTOCOL_VERSION", "ErrorInfo", "JobSpec",
+                  "JobStatus", "ProtocolError"),
+    ".queue": ("ServeQueue",),
+    ".scheduler": ("AdmissionController", "Dispatcher", "PoolSupervisor",
+                   "SimExecutor"),
+    ".server": ("ServeServer", "serve_main"),
+})

@@ -28,10 +28,13 @@ would have reported).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..runtime import FailedResult, RunSpec
+from ..runtime.spec import RunSpec
 from ..uarch.config import config_from_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.parallel import FailedResult
 
 #: bump on any incompatible wire change; requests carry it and the
 #: server rejects other versions explicitly instead of misparsing them
@@ -203,6 +206,7 @@ class ErrorInfo:
     def to_failed_result(self, kernel: str, scale: float,
                          seed: int) -> FailedResult:
         """The local-runtime twin of this error (for thin clients)."""
+        from ..runtime.parallel import FailedResult
         return FailedResult(kernel, scale, seed, error=self.message,
                             phase=self.phase or self.kind,
                             attempts=self.attempts or 1)

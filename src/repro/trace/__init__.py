@@ -3,24 +3,19 @@
 Trace records are the canonical :class:`~repro.observe.events.RetireEvent`.
 """
 
-from ..observe.events import RetireEvent
-from .analysis import (
-    BranchStats,
-    LoadStats,
-    ReconvergenceCheck,
-    TraceProfile,
-    check_reconvergence,
-    profile_trace,
-)
-from .tracer import collect_trace
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BranchStats",
-    "LoadStats",
-    "ReconvergenceCheck",
-    "RetireEvent",
-    "TraceProfile",
-    "check_reconvergence",
-    "collect_trace",
-    "profile_trace",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from ..observe.events import RetireEvent
+    from .analysis import (BranchStats, LoadStats, ReconvergenceCheck,
+                           TraceProfile, check_reconvergence, profile_trace)
+    from .tracer import collect_trace
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "..observe.events": ("RetireEvent",),
+    ".analysis": ("BranchStats", "LoadStats", "ReconvergenceCheck",
+                  "TraceProfile", "check_reconvergence", "profile_trace"),
+    ".tracer": ("collect_trace",),
+})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..isa import FUClass, FU_LATENCY
+from ..isa import FUClass
 from .config import ProcessorConfig
 
 
@@ -48,9 +48,6 @@ class FUPool:
             return False
         self._avail[key] -= 1
         return True
-
-    def latency(self, fu: FUClass) -> int:
-        return FU_LATENCY[fu]
 
     def available(self, fu: FUClass) -> int:
         return self._avail[self._shared.get(fu, fu)]

@@ -39,7 +39,7 @@ class DynInst:
         # memory dependence
         "forward_store",
         # control-independence mechanism
-        "validated", "validated_entry", "srcs_vect", "hard_branch",
+        "validated", "validated_entry", "hard_branch",
         "commit_ready_at",
     )
 
@@ -70,7 +70,6 @@ class DynInst:
         self.forward_store: Optional["DynInst"] = None
         self.validated = False
         self.validated_entry = None
-        self.srcs_vect = None
         self.hard_branch = False
         #: validated instructions may commit before their copy µop finishes
         #: moving the value out of the speculative data memory

@@ -1,33 +1,16 @@
 """Synthetic SpecInt2000-like workload suite (registry-backed)."""
 
-from .registry import (
-    UnknownWorkloadError,
-    WorkloadSpec,
-    all_workloads,
-    get_workload,
-    register_workload,
-    workload_names,
-)
-from .suite import (
-    BY_NAME,
-    SUITE,
-    build_program,
-    build_suite,
-    get_kernel,
-    kernel_names,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BY_NAME",
-    "SUITE",
-    "UnknownWorkloadError",
-    "WorkloadSpec",
-    "all_workloads",
-    "build_program",
-    "build_suite",
-    "get_kernel",
-    "get_workload",
-    "kernel_names",
-    "register_workload",
-    "workload_names",
-]
+from .._lazy import lazy_surface
+
+if TYPE_CHECKING:  # the names resolved on first use below
+    from .registry import (UnknownWorkloadError, WorkloadSpec, all_workloads,
+                           build_program, get_workload, kernel_names,
+                           register_workload, workload_names)
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    ".registry": ("UnknownWorkloadError", "WorkloadSpec", "all_workloads",
+                  "build_program", "get_workload", "kernel_names",
+                  "register_workload", "workload_names"),
+})

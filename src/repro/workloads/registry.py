@@ -84,6 +84,15 @@ def all_workloads() -> List[WorkloadSpec]:
     return list(_REGISTRY.values())
 
 
+#: the suite's kernel names, in paper order
+kernel_names = workload_names
+
+
+def build_program(name: str, scale: float = 1.0, seed: int = 1) -> Program:
+    """Assemble one suite kernel."""
+    return get_workload(name).program(scale, seed)
+
+
 # ---------------------------------------------------------------------------
 # Built-in suite: the 12 SpecInt2000-like kernels, paper order.
 # ---------------------------------------------------------------------------

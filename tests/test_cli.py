@@ -101,6 +101,18 @@ class TestCommands:
         rc, out = run_cli(capsys, "figure", "5", "--scale", "0.2")
         assert rc == 0 and "Figure 5" in out
 
+    def test_figure_runs_at_the_requested_scale(self, capsys, tmp_path,
+                                                monkeypatch):
+        # repro.experiments is already imported here, as it was by the
+        # CLI parser when --scale was silently ignored
+        from repro.experiments import fig05
+        from repro.experiments.common import Runner
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        rc, out = run_cli(capsys, "figure", "5", "--scale", "0.1",
+                          "--jobs", "1")
+        expected = fig05.compute(Runner(scale=0.1, seed=1, jobs=1)).render()
+        assert rc == 0 and expected in out
+
 
 class TestRuntimeCommands:
     def test_cache_info(self, capsys, tmp_path, monkeypatch):

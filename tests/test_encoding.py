@@ -13,7 +13,7 @@ from repro.isa.encoding import (
     encode_instruction,
     encode_program,
 )
-from repro.workloads import SUITE
+from repro.workloads import all_workloads, get_workload
 from repro.workloads.micro import MICRO_PATTERNS, micro_program
 
 
@@ -69,9 +69,9 @@ class TestInstructionRoundtrip:
 
 
 class TestProgramRoundtrip:
-    @pytest.mark.parametrize("name", [s.name for s in SUITE])
+    @pytest.mark.parametrize("name", [s.name for s in all_workloads()])
     def test_suite_kernels_bit_exact(self, name):
-        spec = next(s for s in SUITE if s.name == name)
+        spec = get_workload(name)
         prog = spec.program(0.3, 1)
         again = decode_program(encode_program(prog))
         assert again.code == prog.code

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import assemble, run
 from repro.uarch import ProcessorConfig, SimulationError, scal, simulate, wb
-from repro.workloads import SUITE, build_program
+from repro.workloads import all_workloads, build_program
 
 
 def sim(src, cfg=None, **kw):
@@ -171,7 +171,7 @@ class TestDeterminism:
         assert a.as_dict() == b.as_dict()
 
 
-@pytest.mark.parametrize("name", [s.name for s in SUITE])
+@pytest.mark.parametrize("name", [s.name for s in all_workloads()])
 def test_every_kernel_commits_functional_count(name):
     """Golden cross-check: timing simulation must commit exactly the
     functional dynamic instruction count, for every kernel."""

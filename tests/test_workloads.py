@@ -9,7 +9,7 @@ import pytest
 
 from repro.isa import run
 from repro.trace import collect_trace, profile_trace
-from repro.workloads import SUITE, build_program, get_kernel, kernel_names
+from repro.workloads import all_workloads, build_program, get_workload, kernel_names
 
 SCALE = 0.5  # keep functional tests quick; traits hold at any scale >= 0.5
 
@@ -17,7 +17,7 @@ SCALE = 0.5  # keep functional tests quick; traits hold at any scale >= 0.5
 @pytest.fixture(scope="module")
 def results():
     out = {}
-    for spec in SUITE:
+    for spec in all_workloads():
         prog = spec.program(SCALE, seed=1)
         out[spec.name] = (spec, run(prog))
     return out
@@ -26,7 +26,7 @@ def results():
 @pytest.fixture(scope="module")
 def profiles():
     out = {}
-    for spec in SUITE:
+    for spec in all_workloads():
         prog = spec.program(SCALE, seed=1)
         out[spec.name] = profile_trace(collect_trace(prog))
     return out
@@ -48,17 +48,17 @@ class TestFunctionalCorrectness:
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_seed_changes_data(self, name):
-        spec = get_kernel(name)
+        spec = get_workload(name)
         assert spec.build_source(SCALE, 1) != spec.build_source(SCALE, 2)
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_deterministic(self, name):
-        spec = get_kernel(name)
+        spec = get_workload(name)
         assert spec.build_source(SCALE, 7) == spec.build_source(SCALE, 7)
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_reference_matches_at_other_seed(self, name):
-        spec = get_kernel(name)
+        spec = get_workload(name)
         r = run(spec.program(SCALE, seed=3))
         for reg, value in spec.reference(SCALE, 3).items():
             assert r.reg(reg) == value
@@ -73,7 +73,7 @@ class TestSuiteShape:
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
-            get_kernel("nosuch")
+            get_workload("nosuch")
 
     @pytest.mark.parametrize("name", kernel_names())
     def test_dynamic_size_in_budget(self, results, name):
