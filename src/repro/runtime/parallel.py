@@ -4,11 +4,11 @@ The experiment grid is embarrassingly parallel across (kernel, config)
 points, so ``ParallelRunner`` fans simulation jobs out over a
 ``ProcessPoolExecutor``:
 
-* jobs are grouped into per-program batches — one submission per
-  (kernel, scale, seed) — so each worker builds and predecodes the
-  program once and runs every configuration against the shared
-  decode-once image (batches split when there are fewer program points
-  than workers);
+* every job is its own pool task, submitted costliest first by an
+  estimate read off the spec (:func:`_cost`), so the pool drains
+  evenly; workers memoise program builds per process, and a worker
+  forked after the parent built a program (deriving a run key builds
+  it) inherits its decode-once image;
 * ``jobs`` comes from the constructor, else ``REPRO_JOBS``, else
   ``os.cpu_count()``;
 * ``jobs == 1`` (or a single-job batch, or a platform without working
@@ -30,7 +30,7 @@ so sweeps complete with explicit holes instead of aborting.
 Results are shared at three levels: an in-process memo (same object
 returned for repeat queries, which downstream code relies on), the
 persistent on-disk :class:`~repro.runtime.cache.ResultCache`, and the
-pool itself (duplicate jobs within one batch are submitted once).
+pool itself (duplicate jobs within one ``run_many`` are submitted once).
 """
 
 from __future__ import annotations
@@ -233,43 +233,29 @@ def _worker_init() -> None:
             pass
 
 
-def _run_batch(batch: Sequence[RunSpec]) -> List[Tuple[Optional[dict],
-                                                      Optional[dict],
-                                                      Optional[str]]]:
-    """Worker entry point for a per-program batch of jobs.
+def _cost(job: RunSpec) -> Tuple[int, int]:
+    """Estimated cost of ``job`` from its spec alone, for ordering.
 
-    The scheduler groups jobs by (kernel, scale, seed) so one submission
-    builds and predecodes the program once and runs every configuration
-    against the shared image.  Failures stay per-job: one bad config in
-    a batch does not poison its siblings.  Dispatches through the
-    module-global ``_run_job`` so tests can monkeypatch it.
+    A whole run outweighs any interval job.  Whole runs with a mechanism
+    attached go before those without; interval jobs rank by their
+    warmup + measure length.
     """
-    return [_run_job(job) for job in batch]
+    if _is_interval_token(job.sampling):
+        from ..sampling.plan import parse_interval
+        interval, _total = parse_interval(job.sampling)
+        return 0, interval.warmup + interval.measure
+    return 1, int(bool(job.resolved_cfg().ci_policy))
 
 
-def _batch_chunks(jobs: Sequence[RunSpec],
-                  indexes: Sequence[int], n_workers: int) -> List[List[int]]:
-    """Partition job indexes into per-program submission chunks.
+def _submission_order(jobs: Sequence[RunSpec],
+                      indexes: Sequence[int]) -> List[int]:
+    """``indexes``, costliest job first (ties keep submission order).
 
-    Jobs grouped by (kernel, scale, seed) share one program build per
-    chunk.  When there are fewer program points than workers, each group
-    is split so the pool still fills — a split costs one extra build,
-    idle workers cost the whole group's runtime.
+    One pool task per job: the short jobs submitted last fill the tail
+    in which the long ones finish, so no worker idles while another
+    still holds queued work.
     """
-    groups: Dict[Tuple[str, float, int], List[int]] = {}
-    for i in indexes:
-        job = jobs[i]
-        groups.setdefault((job.kernel, job.scale, job.seed), []).append(i)
-    chunks = list(groups.values())
-    if 0 < len(chunks) < n_workers:
-        pieces = -(-n_workers // len(chunks))  # ceil: splits per group
-        split: List[List[int]] = []
-        for group in chunks:
-            size = -(-len(group) // pieces)
-            split.extend(group[k:k + size]
-                         for k in range(0, len(group), size))
-        chunks = split
-    return chunks
+    return sorted(indexes, key=lambda i: _cost(jobs[i]), reverse=True)
 
 
 def _pool_context():
@@ -331,15 +317,13 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
     directly into ``results``.
     """
     transient: List[int] = []
-    chunks = _batch_chunks(jobs, indexes, n_workers)
+    order = _submission_order(jobs, indexes)
     _import_job_code([jobs[i] for i in indexes])
     try:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)),
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(order)),
                                  mp_context=_pool_context(),
                                  initializer=_worker_init) as pool:
-            futures = {
-                pool.submit(_run_batch, [jobs[i] for i in chunk]): chunk
-                for chunk in chunks}
+            futures = {pool.submit(_run_job, jobs[i]): i for i in order}
             pending = set(futures)
             try:
                 while pending:
@@ -350,30 +334,27 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                         # window.
                         for f in pending:
                             f.cancel()
-                            for i in futures[f]:
-                                results[i] = _Failure(
-                                    "timeout", f"no worker progress for "
-                                               f"{timeout:g}s (declared "
-                                               f"hung)")
-                                transient.append(i)
+                            i = futures[f]
+                            results[i] = _Failure(
+                                "timeout", f"no worker progress for "
+                                           f"{timeout:g}s (declared hung)")
+                            transient.append(i)
                         _terminate_workers(pool)
                         pool.shutdown(wait=False, cancel_futures=True)
                         break
                     for f in done:
-                        chunk = futures[f]
+                        i = futures[f]
                         exc = f.exception()
                         if exc is not None:
                             # Executor-level breakage (e.g. a worker
-                            # died); the jobs themselves may be fine —
-                            # retry them.
-                            for i in chunk:
-                                results[i] = _Failure("pool", repr(exc))
-                                transient.append(i)
+                            # died); the job itself may be fine — retry
+                            # it.
+                            results[i] = _Failure("pool", repr(exc))
+                            transient.append(i)
                             continue
-                        for i, (stats, payload, err) in zip(chunk,
-                                                            f.result()):
-                            results[i] = _Failure("worker", err) \
-                                if err is not None else (stats, payload)
+                        stats, payload, err = f.result()
+                        results[i] = _Failure("worker", err) \
+                            if err is not None else (stats, payload)
             except KeyboardInterrupt:
                 # Ctrl-C drain: kill the workers *before* the executor's
                 # __exit__ tries to join them (that join would otherwise
@@ -385,11 +366,10 @@ def _run_pool_pass(jobs: Sequence[RunSpec], indexes: Sequence[int],
                 _terminate_workers(pool)
                 pool.shutdown(wait=False, cancel_futures=True)
                 for f in pending:
-                    for i in futures[f]:
-                        if results[i] is None:
-                            results[i] = _Failure(
-                                "interrupted",
-                                "interrupted by user (SIGINT)")
+                    i = futures[f]
+                    if results[i] is None:
+                        results[i] = _Failure(
+                            "interrupted", "interrupted by user (SIGINT)")
                 raise
     except (OSError, ImportError):  # no usable multiprocessing
         _run_serial(jobs, indexes, results)

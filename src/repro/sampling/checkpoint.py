@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from ..isa.instructions import K_BRANCH, K_LOAD, K_STORE, NUM_LOGICAL_REGS
 from ..runtime.cache import EnvelopeStore, default_cache_dir
@@ -132,9 +134,11 @@ class CheckpointStore(EnvelopeStore):
     never wrong).  An in-process memo serves repeated reads of one entry
     (many configs x one kernel in a single runner) without re-parsing.
     Counters track this instance's activity: ``fast_forwards``
-    (checkpoint-producing functional passes) and ``checkpoint_hits``
-    (boots served from the store) — the numbers the sharing guarantees
-    are asserted on.
+    (checkpoint-producing functional passes, counted by
+    :func:`ensure_checkpoints`) and ``checkpoint_hits`` (interval jobs
+    booted from one of its checkpoints, counted by the runner that
+    resolved them, whichever process booted them) — the numbers the
+    sharing guarantees are asserted on.
     """
 
     SCHEMA = CHECKPOINT_SCHEMA
@@ -175,10 +179,7 @@ class CheckpointStore(EnvelopeStore):
     def get(self, fingerprint: str, boundary: int) -> Optional[Checkpoint]:
         if boundary == 0:
             return Checkpoint.initial()
-        ckpt = self._lookup(checkpoint_key(fingerprint, boundary))
-        if ckpt is not None:
-            self.checkpoint_hits += 1
-        return ckpt
+        return self._lookup(checkpoint_key(fingerprint, boundary))
 
     def put(self, fingerprint: str, ckpt: Checkpoint) -> None:
         self._store(checkpoint_key(fingerprint, ckpt.inst_index), ckpt,
@@ -198,6 +199,41 @@ class CheckpointStore(EnvelopeStore):
     def clear(self) -> int:
         self._memo.clear()
         return super().clear()
+
+
+#: the stores of the runner passes now in flight, newest last.  Module
+#: state because a pool job receives only its spec: this is what a
+#: forked worker inherits without pickling the store.
+_serving: List[CheckpointStore] = []
+
+
+@contextmanager
+def serving(store: CheckpointStore) -> Iterator[CheckpointStore]:
+    """Let interval jobs started inside this block boot from ``store``.
+
+    A runner wraps the pass that executes its interval jobs: run in
+    process, a job reads the parent's in-memory checkpoints directly;
+    forked pool workers inherit the same store with the rest of the
+    parent's memory.  Neither re-reads a checkpoint file.  The store is
+    reachable only while the block runs, so its memo never outlives
+    the runner that owns it.
+    """
+    _serving.append(store)
+    try:
+        yield store
+    finally:
+        _serving.remove(store)
+
+
+def boot_store() -> CheckpointStore:
+    """Where an interval job looks for its checkpoint.
+
+    The newest in-flight runner store; outside a runner pass (or in a
+    spawned worker, which inherits no memory) a fresh store over the
+    on-disk cache.  Checkpoints are content-addressed, so any store that
+    holds one holds the right one.
+    """
+    return _serving[-1] if _serving else CheckpointStore()
 
 
 # -- fast-forward producers ---------------------------------------------------

@@ -4,8 +4,9 @@ Three entry points:
 
 * :func:`run_interval` — one interval job (a :class:`RunSpec` whose
   ``sampling`` field is a concrete interval token).  This is what pool
-  workers execute; the checkpoint is loaded from the shared store (or
-  recomputed as a fallback when the store is cold/disabled).
+  workers execute; the checkpoint comes from the resolving runner's
+  store (in memory, inherited across fork), else from the on-disk
+  store, else it is recomputed.
 * :func:`run_sampled_job` — worker-side dispatch for any spec carrying a
   ``sampling`` rider: interval tokens run one interval, parent specs
   run the whole plan in-process (the serial-runner path).
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.keys import program_fingerprint
 from ..runtime.spec import RunSpec
 from ..uarch.stats import SimStats
-from .checkpoint import Checkpoint, CheckpointStore, ensure_checkpoints, \
-    feature_pass
+from .checkpoint import Checkpoint, CheckpointStore, boot_store, \
+    ensure_checkpoints, feature_pass, serving
 from .estimate import combine, delta_stats
 from .plan import GRANULARITY, Interval, SamplingPlan, SamplingSpec, \
     is_interval_token, parse_interval
@@ -138,7 +139,7 @@ def run_interval(spec: RunSpec,
     interval, _total = parse_interval(spec.sampling)
     program = spec.program()
     if store is None:
-        store = CheckpointStore()
+        store = boot_store()
     ckpt = store.get(program_fingerprint(program), interval.boundary)
     if ckpt is None:
         # Cold/disabled store fallback: recompute this boundary's
@@ -196,7 +197,10 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
     process — one fast-forward per (program, boundary) no matter how
     many policies/configs are being swept — then every interval job is
     pushed through ``runner.run_many`` (pool fan-out, interval-level
-    result caching, retries, keep-going).  Returns
+    result caching, retries, keep-going) while the runner's store is
+    :func:`serving`, so the jobs boot from the checkpoints already in
+    memory.  Every simulated interval job past boundary 0 counts as one
+    checkpoint hit, in whichever process it ran.  Returns
     ``[(ident, spec, stats-or-FailedResult), ...]``.
     """
     from ..runtime.parallel import FailedResult, WorkerError, \
@@ -219,9 +223,15 @@ def resolve_sampled(runner: "ParallelRunner", items: Sequence[Tuple]
                     from None
             out.append((ident, spec, fr))
     all_children: List[RunSpec] = []
-    for _, _, _, children in prepared:
+    booted: Set[RunSpec] = set()
+    for _, _, plan, children in prepared:
         all_children.extend(children)
-    child_stats = runner.run_many(all_children) if all_children else []
+        booted.update(child for child, iv in zip(children, plan.intervals)
+                      if iv.boundary)
+    with serving(store):
+        child_stats = runner.run_many(all_children) if all_children else []
+    store.checkpoint_hits += sum(runner.sources.get(child) == "sim"
+                                 for child in booted)
     cursor = 0
     for ident, spec, plan, children in prepared:
         deltas = child_stats[cursor:cursor + len(children)]

@@ -21,7 +21,7 @@ class Gshare:
     def __init__(self, bits: int = 16):
         self.bits = bits
         self.mask = (1 << bits) - 1
-        self.table = bytearray([2] * (1 << bits))  # weakly taken
+        self.table = bytearray(b"\x02") * (1 << bits)  # weakly taken
         self.history = 0
 
     def _index(self, pc: int) -> int:
@@ -60,7 +60,7 @@ class Bimodal:
     def __init__(self, bits: int = 12):
         self.bits = bits
         self.mask = (1 << bits) - 1
-        self.table = bytearray([2] * (1 << bits))
+        self.table = bytearray(b"\x02") * (1 << bits)
 
     def predict(self, pc: int, backward: bool = False) -> bool:
         return self.table[pc & self.mask] >= 2

@@ -5,7 +5,9 @@ programs from straight-line ALU blocks, memory traffic, hammocks and
 bounded counted loops.  For every generated program and every machine
 policy, the timing simulation must commit exactly the instructions the
 functional interpreter executes, and the architectural register state the
-simulator's speculative image converges to must match the oracle.
+simulator's speculative image converges to must match the oracle.  The
+sampled-boot arm holds a core booted from a functional checkpoint at a
+random boundary to the same oracle.
 
 This is the strongest correctness net in the repository: branch recovery,
 store undo, replica validation and squash reuse all have to cooperate
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import run_program
+from repro import hooks_for, run_program
 from repro.ci import policy_names
 from repro.isa import NUM_LOGICAL_REGS, assemble
 from repro.isa import run as run_functional
+from repro.sampling import CheckpointStore, ensure_checkpoints
 from repro.uarch import Core, ProcessorConfig, ci, scal, wb, with_spec_mem
 
 # Registers the generator uses for data (loop counters live higher up).
@@ -146,6 +149,28 @@ def test_timing_matches_functional(label, cfg, src):
         f"\n{src}")
 
 
+@pytest.mark.parametrize("label,cfg", CONFIGS)
+@given(src=program_source(), data=st.data())
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_sampled_boot_matches_functional(label, cfg, src, data):
+    """A core booted from the checkpoint at a drawn boundary commits the
+    rest of the program and ends in the oracle's register state."""
+    prog = assemble(src, name="random")
+    oracle = run_functional(prog, max_steps=50_000)
+    boundary = data.draw(st.integers(1, oracle.steps - 1), label="boundary")
+    ckpt = ensure_checkpoints(prog, [boundary],
+                              CheckpointStore(enabled=False))[boundary]
+    core = Core(cfg, prog, hooks_for(cfg), boot=ckpt)
+    core.run()
+    assert core.stats.committed == oracle.steps - boundary, (
+        f"[{label}@{boundary}] committed {core.stats.committed} != "
+        f"{oracle.steps - boundary}\n{src}")
+    assert core.sregs == oracle.regs, (
+        f"[{label}@{boundary}] register state diverged\n{src}")
+
+
 @given(src=program_source())
 @settings(max_examples=15, deadline=None)
 def test_architectural_state_matches_oracle(src):
@@ -153,8 +178,6 @@ def test_architectural_state_matches_oracle(src):
     must equal the functional interpreter's final state."""
     prog = assemble(src, name="random")
     oracle = run_functional(prog, max_steps=50_000)
-    core = Core(ci(1, 256), prog, hooks=None)
-    from repro import hooks_for
     core = Core(ci(1, 256), prog, hooks_for(ci(1, 256)))
     core.run()
     assert core.sregs == oracle.regs, f"register state diverged\n{src}"

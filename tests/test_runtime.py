@@ -257,6 +257,60 @@ class TestResilience:
         assert "REPRO_TIMEOUT" in capsys.readouterr().err
 
 
+def _interval_jobs(kernel, cfg):
+    """The interval jobs of one sampled run at scale 0.3."""
+    from repro.sampling import plan_for
+    from repro.sampling.checkpoint import CheckpointStore
+    from repro.sampling.executor import interval_specs
+    parent = RunSpec(kernel, 0.3, SEED, cfg, sampling="auto")
+    return interval_specs(parent, plan_for(parent,
+                                           CheckpointStore(enabled=False)))
+
+
+class TestPerJobTasks:
+    """One pool task per job, costliest first; order and failures as
+    before."""
+
+    def test_submission_order_costliest_first(self):
+        base = RunSpec("eon", SCALE, SEED, scal(1, 256))
+        mech = RunSpec("eon", SCALE, SEED, ci(1, 512))
+        short = RunSpec("eon", SCALE, SEED,
+                        sampling="i=0,b=0,w=0,m=50,n=1000")
+        long_ = RunSpec("eon", SCALE, SEED,
+                        sampling="i=1,b=500,w=100,m=200,n=1000")
+        jobs = [short, base, long_, mech, base]
+        assert parallel_mod._submission_order(jobs, range(5)) \
+            == [3, 1, 4, 2, 0]
+
+    def test_mixed_exact_and_interval_batch_keeps_order(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        jobs = [RunSpec("eon", SCALE, SEED, scal(1, 256))]
+        jobs += _interval_jobs("bzip2", ci(1, 512))[:3]
+        jobs += [RunSpec("gzip", SCALE, SEED, ci(1, 512))]
+        jobs += _interval_jobs("mcf", scal(1, 256))[:3]
+        serial = execute_jobs_observed(jobs, 1)
+        pooled = execute_jobs_observed(jobs, 2)
+        assert [st.to_dict() for st, _ in pooled] \
+            == [st.to_dict() for st, _ in serial]
+        assert [bool(st.cycles) for st, _ in pooled] == [True] * len(jobs)
+
+    def test_crashing_config_leaves_sibling_config_intact(self, cache):
+        crashing = RunSpec("mcf", SCALE, SEED, ci(1, 512),
+                           faults="crash@50")
+        sibling = RunSpec("mcf", SCALE, SEED, scal(1, 256))
+        other = RunSpec("eon", SCALE, SEED, ci(1, 512))
+        r = ParallelRunner(scale=SCALE, seed=SEED, jobs=2, cache=cache,
+                           keep_going=True)
+        out = r.run_many([crashing, sibling, other])
+        assert isinstance(out[0], FailedResult)
+        assert "crash" in out[0].error
+        [alone] = execute_jobs([sibling], 1)
+        assert out[1].to_dict() == alone.to_dict()
+        assert out[2].committed > 0
+        assert len(r.failures) == 1
+
+
 class TestParallelRunner:
     def test_memo_returns_same_object(self, cache):
         r = make_runner(cache)

@@ -12,13 +12,18 @@ The load-bearing guarantees:
   runs exactly as before;
 * sampled estimates land within tolerance of exact simulation on the
   tier-1 kernels at scale 0.3;
-* a policy sweep over one kernel performs exactly one fast-forward.
+* a policy sweep over one kernel performs exactly one fast-forward;
+* interval jobs boot from the resolving runner's own store (inherited
+  across fork, scoped to the pass) and read no checkpoint file.
 """
 
+import gc
 import json
 import os
 import tempfile
 import unittest
+import weakref
+from unittest import mock
 
 from repro import hooks_for
 from repro.isa import interp
@@ -36,12 +41,13 @@ from repro.sampling import (
     feature_pass,
     is_interval_token,
     parse_interval,
+    plan_for,
     relative_ci,
     run_sampled_spec,
     sample_program,
 )
 from repro.sampling.plan import GRANULARITY, N_SPARSE, coverage_for
-from repro.uarch import Core
+from repro.uarch import Core, ci, scal
 
 TIER1 = ("bzip2", "mcf", "gcc")
 
@@ -346,7 +352,6 @@ class TestEstimates(unittest.TestCase):
 
 
 def plan_total(spec: RunSpec, store: CheckpointStore) -> int:
-    from repro.sampling import plan_for
     return plan_for(spec, store).total
 
 
@@ -408,6 +413,80 @@ class TestServeProtocol(unittest.TestCase):
         with self.assertRaises(ProtocolError):
             JobSpec.from_dict({"kernel": "bzip2",
                                "sampling": "i=0,b=90,w=20,m=50,n=100"})
+
+
+#: a small sampled sweep: two kernels x a baseline and a mechanism config
+SWEEP = [RunSpec(k, 0.3, 1, cfg, sampling="auto")
+         for k in ("gzip", "parser") for cfg in (scal(1, 256), ci(1, 512))]
+
+
+def sweep(jobs: int, root: str):
+    """``SWEEP`` through a fresh runner whose caches live under
+    ``root``; returns (runner, results)."""
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.parallel import ParallelRunner
+    with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": root}):
+        runner = ParallelRunner(0.3, 1, jobs=jobs,
+                                cache=ResultCache(root=root, enabled=True))
+        return runner, runner.run_many(SWEEP)
+
+
+class TestRunnerStore(unittest.TestCase):
+    """Interval jobs boot from the runner's own checkpoint store."""
+
+    def test_forked_workers_read_no_checkpoint_file(self):
+        parent = os.getpid()
+        real_read = CheckpointStore._read
+
+        def read(store, key):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker read a checkpoint file")
+            return real_read(store, key)
+
+        with tempfile.TemporaryDirectory() as a, \
+                tempfile.TemporaryDirectory() as b:
+            _, serial = sweep(1, a)
+            with mock.patch.object(CheckpointStore, "_read", read):
+                runner, pooled = sweep(2, b)
+        self.assertEqual(runner.sims_run, len(SWEEP) + sum(
+            s.sample_intervals for s in pooled))
+        self.assertEqual([s.to_dict() for s in pooled],
+                         [s.to_dict() for s in serial])
+
+    def test_runners_retain_no_checkpoint_memo(self):
+        from repro.sampling import checkpoint
+        refs = []
+        for jobs in (1, 2, 1):
+            with tempfile.TemporaryDirectory() as root:
+                runner, _ = sweep(jobs, root)
+                store = runner.checkpoint_store()
+                self.assertTrue(store._memo)
+                refs.append(weakref.ref(store))
+                self.assertEqual(checkpoint._serving, [])
+                del runner, store
+        gc.collect()
+        self.assertEqual([ref() for ref in refs], [None] * len(refs))
+
+    def test_checkpoint_hits_count_boots_at_any_worker_count(self):
+        plans = [plan_for(spec, CheckpointStore(enabled=False))
+                 for spec in SWEEP]
+        booted = sum(1 for plan in plans for iv in plan.intervals
+                     if iv.boundary)
+        self.assertEqual(booted, 8)     # 2 kernels x 2 configs x 2
+        for jobs in (1, 2):
+            with tempfile.TemporaryDirectory() as root:
+                runner, _ = sweep(jobs, root)
+                store = runner.checkpoint_store()
+                self.assertEqual(
+                    (store.fast_forwards, store.checkpoint_hits),
+                    (2, booted), f"jobs={jobs}")
+                self.assertIn(f"2 fast-forward pass(es), {booted} "
+                              f"checkpoint hit(s)",
+                              runner.runtime_summary())
+                warm, _ = sweep(jobs, root)    # every result cached
+                self.assertEqual(warm.sims_run, 0)
+                self.assertEqual(warm.checkpoint_store().checkpoint_hits,
+                                 0)
 
 
 class TestCheckpointDataclass(unittest.TestCase):

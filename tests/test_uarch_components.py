@@ -118,6 +118,40 @@ class TestCaches:
         h.store_access(0x5000)
         assert h.load_latency(0x5000, now=300) == 1
 
+    @given(assoc=st.sampled_from([1, 2, 4]),
+           num_sets=st.sampled_from([1, 2, 8]),
+           ops=st.lists(st.tuples(st.booleans(),
+                                  st.integers(0, 64 * 32 - 1)),
+                        max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_lru_model(self, assoc, num_sets, ops):
+        """Sets allocated on first touch behave as eagerly built ones:
+        same ``access`` and ``probe`` answers as a list-of-lists LRU."""
+        line = 32
+        c = self.make(size=num_sets * assoc * line, assoc=assoc, line=line)
+        model = [[] for _ in range(num_sets)]
+        for is_probe, addr in ops:
+            idx, tag = (addr // line) % num_sets, (addr // line) // num_sets
+            ways = model[idx]
+            expected = tag in ways
+            if is_probe:
+                assert c.probe(addr) == expected
+                continue
+            assert c.access(addr) == expected
+            if expected:
+                ways.remove(tag)
+            ways.insert(0, tag)
+            del ways[assoc:]
+        assert c.hits + c.misses == sum(not p for p, _ in ops)
+
+    def test_probe_of_untouched_set_allocates_nothing(self):
+        c = self.make(size=8 * 2 * 32, assoc=2, line=32)
+        assert not c.probe(5 * 32)
+        assert c.sets == [None] * c.num_sets
+        c.access(0)
+        assert not c.probe(5 * 32)
+        assert sum(ways is not None for ways in c.sets) == 1
+
 
 class TestRenameTable:
     def test_write_and_restore(self):
